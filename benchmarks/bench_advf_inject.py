@@ -1,17 +1,16 @@
-"""A-INJECT — speculative batched injection resolution vs sequential.
+"""A-INJECT — batched injection resolution vs batches of one.
 
 Compares two runs of the full aDVF analysis (injection enabled) per
-workload, differing only in the speculation window:
+workload, differing only in the injection batch window.  Both run the
+same plan → batch → apply resolver; only the batch size differs:
 
-* **sequential**: ``speculation_window=0`` — the oracle path; every
-  unresolved pattern takes a budget decision and (when in budget) a
-  single ``inject`` call, one snapshot restore + suffix execution at a
-  time;
-* **speculative**: ``speculation_window=N`` (default 32) — the plan-ahead
-  scheduler predicts the count-based budget decisions, submits whole
-  windows of predicted injections through
+* **sequential**: ``speculation_window=0`` — batches of one: every
+  injection the resolver decides on is submitted alone, one snapshot
+  restore + suffix execution at a time;
+* **speculative**: ``speculation_window=N`` (default 32) — the resolver
+  queues N injections before submitting them through
   ``DeterministicFaultInjector.inject_many`` (the batched replay
-  scheduler), and validates every prediction in arrival order.
+  scheduler) as one batch.
 
 The timed quantity is the **injection-resolution phase only**
 (``AdvfEngine.pass_timings["injection"]``) — trace recording,
@@ -44,15 +43,15 @@ except ModuleNotFoundError:  # standalone script run from a source checkout
         0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     )
 
-from repro.core.advf import DEFAULT_SPECULATION_WINDOW, AdvfEngine, AnalysisConfig
+from repro.core.advf import AdvfEngine, AnalysisConfig
 from repro.obs.log import provenance
 from repro.workloads.registry import get_workload, workload_names
 
 #: Scale factor (1 = quick laptop/CI run); scales timing repeats.
 SCALE = max(1, int(os.environ.get("REPRO_BENCH_SCALE", "1")))
-#: Speculation window under test.
+#: Batch window under test.
 WINDOW = max(1, int(os.environ.get("REPRO_BENCH_INJECT_WINDOW",
-                                   str(DEFAULT_SPECULATION_WINDOW))))
+                                   str(AnalysisConfig().speculation_window))))
 #: Timing repeats per configuration on the timed workloads (min is kept).
 REPEATS = max(1, int(os.environ.get("REPRO_BENCH_INJECT_REPEATS", "2"))) * SCALE
 #: ``injection_samples_per_class`` for the timed legs — deeper than the
@@ -85,7 +84,7 @@ def _assert_bit_identical(name, sequential, speculative):
     for object_name, report in sequential.objects.items():
         fast = speculative.objects[object_name]
         assert report.to_dict() == fast.to_dict(), (
-            f"speculation diverged on {name}.{object_name}"
+            f"batching changed the report of {name}.{object_name}"
         )
 
 
@@ -100,7 +99,6 @@ def check_bit_identity():
             "workload": name,
             "objects": len(sequential.objects),
             "speculated": stats.get("speculated", 0),
-            "spec_discards": stats.get("spec_discards", 0),
             "spec_windows": stats.get("spec_windows", 0),
         })
     return checked
@@ -144,7 +142,7 @@ def measure_all():
 def _check(results):
     geomean = results["geomean_speedup"]
     assert geomean >= SPEEDUP_BAR, (
-        f"speculative injection-resolution geomean speedup {geomean:.2f}x over "
+        f"batched injection-resolution geomean speedup {geomean:.2f}x over "
         f"{', '.join(TIMED_WORKLOADS)} is below the {SPEEDUP_BAR}x acceptance bar"
     )
 
@@ -161,7 +159,7 @@ def test_bench_advf_inject(once, benchmark):
     )
     benchmark.extra_info["geomean_speedup"] = results["geomean_speedup"]
     print_header(
-        f"Speculative injection resolution vs sequential (window={WINDOW}, "
+        f"Batched injection resolution vs batches of one (window={WINDOW}, "
         f"bar >= {SPEEDUP_BAR}x geomean on {', '.join(TIMED_WORKLOADS)})"
     )
     print(json.dumps(results, indent=2))

@@ -39,11 +39,11 @@ except ModuleNotFoundError:  # standalone script run from a source checkout
     )
 
 from repro.core.advf import AdvfEngine, AnalysisConfig
-from repro.tracing import ColumnarTrace, have_numpy
+from repro.tracing import ColumnarTrace
 from repro.workloads.registry import get_workload
 
 WORKLOADS = os.environ.get("REPRO_BENCH_PIPELINE_WORKLOADS", "matmul,cg").split(",")
-#: The analysis speedup bar on matmul (with NumPy available).
+#: The analysis speedup bar on matmul.
 SPEEDUP_BAR = 3.0
 
 
@@ -88,7 +88,6 @@ def measure_analysis_speedup(workload_name: str):
 
     return {
         "workload": workload_name,
-        "numpy": have_numpy(),
         "trace_events": results["legacy"].trace_events,
         "objects": len(results["legacy"].objects),
         "legacy_analysis_s": legacy_s,
@@ -103,7 +102,7 @@ def measure_trace_acquisition(workload_name: str):
     trace = workload.traced_run(columnar=True).trace
     record_s = _time(lambda: workload.traced_run(columnar=True))
     with tempfile.TemporaryDirectory(prefix="repro-bench-trace-") as tmp:
-        path = trace.save(Path(tmp) / f"golden{'.npz' if have_numpy() else '.jsonl'}")
+        path = trace.save(Path(tmp) / "golden.npz")
         artifact_bytes = path.stat().st_size
         load_s = _time(lambda: ColumnarTrace.load(path))
     return {
@@ -127,7 +126,7 @@ def test_bench_advf_pipeline_analysis(once, benchmark):
     benchmark.extra_info.update(stats)
     print_header("aDVF pipeline: columnar passes vs legacy per-event scans")
     print(json.dumps(stats, indent=2))
-    if have_numpy() and "matmul" in stats:
+    if "matmul" in stats:
         assert stats["matmul"]["analysis_speedup"] >= SPEEDUP_BAR
 
 
@@ -147,7 +146,7 @@ def main() -> None:
         "trace_acquisition": measure_trace_acquisition(WORKLOADS[0]),
     }
     print(json.dumps(report, indent=2))
-    if have_numpy() and "matmul" in report["analysis"]:
+    if "matmul" in report["analysis"]:
         speedup = report["analysis"]["matmul"]["analysis_speedup"]
         assert speedup >= SPEEDUP_BAR, (
             f"columnar analysis speedup {speedup:.2f}x below the "

@@ -41,11 +41,10 @@ Design points:
   run) and campaigns stamp the ``repro_version`` that created them, so
   ``python -m repro stats`` renders engine/replay/cache telemetry from
   the store alone and exports carry their provenance.
-* **Speculation telemetry (v6).**  Shards carry the aDVF speculative
-  injection scheduler's counters (``speculated``, ``spec_discards``,
-  ``spec_windows``) next to the replay-batch columns, so
-  ``campaign status`` can show how much of a shard's injection work ran
-  speculatively and how much speculation was discarded.
+* **Speculation telemetry (v6).**  Shards carry the aDVF injection
+  batching counters (``speculated``, ``spec_discards``, ``spec_windows``)
+  next to the replay-batch columns, so ``campaign status`` can show how
+  much of a shard's injection work ran in batches.
 * **Run spans (v7).**  The campaign flight recorder: every finished span
   an orchestrator run (or its worker processes) records lands in
   ``run_spans`` — name, parent, nesting depth, recording pid, the shard
@@ -257,10 +256,10 @@ class ShardRecord:
     batches: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
-    #: aDVF speculative-injection telemetry (v6): pattern resolutions the
-    #: speculation scheduler predicted ahead of their budget decisions,
-    #: how many of those predictions were discarded, and how many
-    #: speculation windows were flushed for the shard.
+    #: aDVF batched-injection telemetry (v6): injections the resolver
+    #: submitted in batches and how many batches it submitted for the
+    #: shard.  ``spec_discards`` is 0 for shards from current builds (the
+    #: resolver never discards); older rows may carry discards.
     speculated: int = 0
     spec_discards: int = 0
     spec_windows: int = 0
@@ -818,8 +817,8 @@ class CampaignStore:
         ``batch_stats`` (if given) carries the replay-batch scheduler's
         counters for this shard — ``batches``, ``memo_hits`` and
         ``memo_misses`` are stamped onto the shard row, along with the
-        aDVF speculation counters (``speculated``, ``spec_discards``,
-        ``spec_windows``) when the speculative scheduler ran.
+        aDVF batching counters (``speculated``, ``spec_discards``,
+        ``spec_windows``) when the aDVF resolver batched injections.
         """
         stats = batch_stats or {}
         with self._conn:

@@ -21,8 +21,8 @@ on.
 
 from __future__ import annotations
 
-import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -32,14 +32,9 @@ from repro.core.injector import DeterministicFaultInjector
 from repro.core.masking import (
     MaskingCategory,
     MaskingLevel,
-    MaskingVerdict,
     OperationMaskingAnalyzer,
 )
-from repro.core.participation import (
-    Participation,
-    ParticipationRole,
-    find_participations,
-)
+from repro.core.participation import Participation, find_participations
 from repro.core.patterns import ErrorModel, ErrorPattern, SingleBitModel, classify_bit
 from repro.core.passes import OperationPasses
 from repro.core.propagation import PropagationAnalyzer
@@ -95,37 +90,10 @@ class AnalysisConfig:
     #: ``"legacy"`` keeps the original per-event scans over a full
     #: :class:`~repro.tracing.trace.Trace` (the parity oracle).
     pipeline: str = "columnar"
-    #: Speculation window for injection resolution: how many predicted
-    #: injection sites are collected before they are submitted as one
-    #: replay batch (0 disables speculation; ``None`` defers to the
-    #: ``REPRO_ADVF_SPECULATION`` environment variable, default
-    #: :data:`DEFAULT_SPECULATION_WINDOW`).  Results are bit-identical at
-    #: every setting — the window only changes batching.
-    speculation_window: Optional[int] = None
-
-
-#: Speculation window when neither :attr:`AnalysisConfig.speculation_window`
-#: nor ``REPRO_ADVF_SPECULATION`` says otherwise.
-DEFAULT_SPECULATION_WINDOW = 32
-
-#: ``REPRO_ADVF_SPECULATION`` values that disable speculation.
-_SPECULATION_OFF = frozenset({"0", "off", "none", "disabled"})
-
-
-def resolved_speculation_window(config: AnalysisConfig) -> int:
-    """The effective speculation window: config knob, then environment."""
-    if config.speculation_window is not None:
-        return max(0, int(config.speculation_window))
-    raw = os.environ.get("REPRO_ADVF_SPECULATION")
-    if raw is None:
-        return DEFAULT_SPECULATION_WINDOW
-    raw = raw.strip().lower()
-    if raw in _SPECULATION_OFF:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_SPECULATION_WINDOW
+    #: Injection batch size: how many injections the resolver queues before
+    #: submitting them as one replay batch (0 means batches of one).
+    #: Results are bit-identical at every setting — it only changes batching.
+    speculation_window: int = 32
 
 
 @dataclass
@@ -279,8 +247,8 @@ class AdvfEngine:
         #: bulk operation passes, injection resolution), accumulated across
         #: analysed objects.
         self.pass_timings: Dict[str, float] = {}
-        #: Speculative-batching telemetry (``speculated`` /
-        #: ``spec_discards`` / ``spec_windows`` / ``spec_mispredictions``),
+        #: Injection-batching telemetry (``speculated``: injections
+        #: submitted in batches; ``spec_windows``: batches submitted),
         #: accumulated across analysed objects.
         self.speculation_stats: Dict[str, int] = {}
 
@@ -353,8 +321,9 @@ class AdvfEngine:
     def analyze_object(self, object_name: str) -> ObjectReport:
         """Compute aDVF (and its breakdowns) for one data object.
 
-        The columnar pipeline runs the same decision procedure with two
-        accelerations that leave every number bit-identical:
+        Every configuration resolves the object's fault sites through one
+        :class:`_Resolver`.  The columnar pipeline adds two accelerations
+        that leave every number bit-identical:
 
         * participation discovery and the cheap operation-level categories
           come from the vectorized passes (:mod:`repro.core.passes`);
@@ -366,10 +335,9 @@ class AdvfEngine:
           or cache entries.
         """
         self._prepare()
-        config = self.config
         start = time.perf_counter()
         participations = find_participations(
-            self.trace, object_name, max_participations=config.max_participations
+            self.trace, object_name, max_participations=self.config.max_participations
         )
         self.pass_timings["participation"] = (
             self.pass_timings.get("participation", 0.0)
@@ -380,397 +348,153 @@ class AdvfEngine:
             self.pass_timings["operation_passes"] = self._passes.timings.get(
                 "operation_passes", 0.0
             )
-
-        site_cache = EquivalenceCache(samples_per_class=config.equivalence_samples)
-        injection_cache = EquivalenceCache(
-            samples_per_class=config.injection_samples_per_class
-        )
-        state = _ObjectState(injection_cache=injection_cache)
-
-        numerator = 0.0
-        by_level: Dict[MaskingLevel, float] = {}
-        by_category: Dict[MaskingCategory, float] = {}
-        fast = self._passes is not None
-        tails: Dict[Tuple, _ClassTail] = {}
-
-        window = resolved_speculation_window(config)
-        if (
-            window > 0
-            and config.use_injection
-            and config.injection_mode == "replay"
-            and self._injector is not None
-            and self._injector.mode == "replay"
-        ):
-            resolver = _SpeculativeResolver(
-                self, site_cache, state, tails, window,
-                by_level=by_level, by_category=by_category,
-            )
-            for participation in participations:
-                resolver.scan(participation)
-            resolver.finish()
-            numerator = resolver.numerator
-            return self._object_report(
-                object_name, participations, numerator, by_level,
-                by_category, state, site_cache, tails,
-            )
-
+        resolver = _Resolver(self)
         for participation in participations:
-            patterns = config.error_model.patterns_for(participation.value_type)
-            if not patterns:
-                continue
-            if fast:
-                class_key = (
-                    participation.static_uid,
-                    participation.role.value,
-                    participation.operand_index,
-                    participation.value_type.name,
-                )
-                tail = tails.get(class_key)
-                if tail is None:
-                    tail = _build_class_tail(site_cache, participation, patterns)
-                    if tail is not None:
-                        tails[class_key] = tail
-                if tail is not None:
-                    # Additions to different dict slots commute, so the
-                    # per-pattern weights are replayed grouped by level /
-                    # category (in pattern order within each group) — the
-                    # running sum of every slot sees the identical addition
-                    # sequence the per-pattern loop would produce.
-                    for level, weights in tail.level_weights:
-                        acc = by_level.get(level, 0.0)
-                        for weight in weights:
-                            acc += weight
-                        by_level[level] = acc
-                    for category, weights in tail.category_weights:
-                        acc = by_category.get(category, 0.0)
-                        for weight in weights:
-                            acc += weight
-                        by_category[category] = acc
-                    numerator += tail.masked_quotient
-                    tail.uses += 1
-                    continue
-            masked_total = 0.0
-            for pattern in patterns:
-                key = (
-                    participation.static_uid,
-                    participation.role.value,
-                    participation.operand_index,
-                    pattern.primary_bit,
-                )
-                if site_cache.should_analyze(key):
-                    masked, level, category = self._analyze_site(
-                        participation, pattern, state
-                    )
-                    site_cache.record(key, masked, level, category)
-                else:
-                    masked, level, category = site_cache.estimate(key)
-                masked_total += masked
-                weight = masked / len(patterns)
-                if weight > 0.0 and level is not None:
-                    by_level[level] = by_level.get(level, 0.0) + weight
-                if weight > 0.0 and category is not None:
-                    by_category[category] = by_category.get(category, 0.0) + weight
-            numerator += masked_total / len(patterns)
+            resolver.scan(participation)
+        return resolver.finish(object_name, len(participations))
 
-        return self._object_report(
-            object_name, participations, numerator, by_level, by_category,
-            state, site_cache, tails,
-        )
 
-    def _object_report(
-        self,
-        object_name: str,
-        participations: Sequence[Participation],
-        numerator: float,
-        by_level: Dict[MaskingLevel, float],
-        by_category: Dict[MaskingCategory, float],
-        state: "_ObjectState",
-        site_cache: EquivalenceCache,
-        tails: Dict[Tuple, "_ClassTail"],
-    ) -> ObjectReport:
-        """Settle deferred accounting and assemble the per-object report
-        (shared by the sequential and speculative resolution paths)."""
-        # The tail fast path defers the equivalence cache's reuse
-        # accounting; settle it so coverage statistics stay exact.
-        for tail in tails.values():
-            if tail.uses:
-                for entry, per_use in tail.entry_counts:
-                    entry.reused += per_use * tail.uses
-
-        denominator = len(participations)
-        result = AdvfResult(
-            object_name=object_name,
-            value=(numerator / denominator) if denominator else 0.0,
-            participations=denominator,
-            masked_events=numerator,
-            by_level=by_level,
-            by_category=by_category,
-        )
-        return ObjectReport(
-            result=result,
-            injections=state.injections,
-            injection_outcomes=state.injection_outcomes,
-            propagation_checks=state.propagation_checks,
-            unresolved=state.unresolved,
-            analyses_performed=site_cache.analyses_performed,
-            analyses_reused=site_cache.analyses_reused,
-        )
-
-    # ------------------------------------------------------------------ #
-    # per-site decision procedure (Fig. 3)
-    # ------------------------------------------------------------------ #
-    def _analyze_site(
-        self,
-        participation: Participation,
-        pattern: ErrorPattern,
-        state: "_ObjectState",
-    ) -> Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]:
-        if self._passes is not None:
-            verdict = self._passes.verdict(participation, pattern)
-        else:
-            verdict = self._masking.analyze(participation, pattern)
-        if verdict.masked is True:
-            return 1.0, verdict.level, verdict.category
-        if verdict.masked is False and not (
-            verdict.needs_propagation or verdict.needs_injection
-        ):
-            return 0.0, None, None
-
-        if verdict.needs_propagation:
-            state.propagation_checks += 1
-            propagation = self._propagation.analyze(
-                participation, pattern, verdict.corrupted_result
-            )
-            if propagation.masked is True:
-                level = (
-                    MaskingLevel.OPERATION
-                    if propagation.steps_analyzed == 0
-                    else MaskingLevel.PROPAGATION
-                )
-                category = propagation.category or MaskingCategory.OVERWRITE
-                return 1.0, level, category
-            # unresolved / survived: fall through to injection
-
-        return self._resolve_by_injection(participation, pattern, verdict, state)
-
-    def _resolve_by_injection(
-        self,
-        participation: Participation,
-        pattern: ErrorPattern,
-        verdict: MaskingVerdict,
-        state: "_ObjectState",
-    ) -> Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]:
-        config = self.config
-        can_inject = (
-            config.use_injection
-            and self._injector is not None
-            and pattern.is_single_bit
-        )
-        injection_key = (
-            participation.static_uid,
-            participation.role.value,
-            participation.operand_index,
-            classify_bit(pattern.primary_bit, participation.value_type),
-        )
-
-        if can_inject and state.injections < config.max_injections and (
-            state.injection_cache.should_analyze(injection_key)
-        ):
-            site = FaultSite(participation, pattern.primary_bit)
-            start = time.perf_counter()
-            result = self._injector.inject(site.to_spec())
-            self.pass_timings["injection"] = (
-                self.pass_timings.get("injection", 0.0)
-                + (time.perf_counter() - start)
-            )
-            state.injections += 1
-            state.injection_outcomes[result.outcome] = (
-                state.injection_outcomes.get(result.outcome, 0) + 1
-            )
-            masked, level, category = self._classify_injection(result.outcome, verdict)
-            state.injection_cache.record(injection_key, masked, level, category)
-            return masked, level, category
-
-        if injection_key in state.injection_cache.entries and (
-            state.injection_cache.entries[injection_key].sample_count > 0
-        ):
-            return state.injection_cache.estimate(injection_key)
-
-        # Out of budget (or injection disabled): analytic fallback.
-        if verdict.overshadow_candidate and config.analytic_overshadow_fallback:
-            return 1.0, MaskingLevel.OPERATION, MaskingCategory.OVERSHADOW
-        state.unresolved += 1
+def _classify_injection(
+    outcome: OutcomeClass, overshadow_candidate: bool
+) -> Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]:
+    """Paper attribution rules for injection-resolved masking (§III-C/E)."""
+    if not outcome.is_success:
         return 0.0, None, None
-
-    @staticmethod
-    def _classify_injection(
-        outcome: OutcomeClass, verdict: MaskingVerdict
-    ) -> Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]:
-        """Paper attribution rules for injection-resolved masking (§III-C/E)."""
-        if not outcome.is_success:
-            return 0.0, None, None
-        if verdict.overshadow_candidate:
-            # Overshadowing initiated the masking; attribute it there even if
-            # the outcome only becomes acceptable further downstream.
-            return 1.0, MaskingLevel.OPERATION, MaskingCategory.OVERSHADOW
-        if outcome is OutcomeClass.IDENTICAL:
-            # Numerically identical outcome: error propagation masked it.
-            return 1.0, MaskingLevel.PROPAGATION, MaskingCategory.OVERWRITE
-        return 1.0, MaskingLevel.ALGORITHM, MaskingCategory.ALGORITHMIC
+    if overshadow_candidate:
+        # Overshadowing initiated the masking; attribute it there even if
+        # the outcome only becomes acceptable further downstream.
+        return 1.0, MaskingLevel.OPERATION, MaskingCategory.OVERSHADOW
+    if outcome is OutcomeClass.IDENTICAL:
+        # Numerically identical outcome: error propagation masked it.
+        return 1.0, MaskingLevel.PROPAGATION, MaskingCategory.OVERWRITE
+    return 1.0, MaskingLevel.ALGORITHM, MaskingCategory.ALGORITHMIC
 
 
-@dataclass
-class _ObjectState:
-    """Mutable per-object bookkeeping shared across site analyses."""
+# Per-pattern plan tags.  A plan of ``None`` is answered by the site cache.
+#: ``(_SETTLED, masked, level, category)``: decided by the pure analyses.
+_SETTLED = "settled"
+#: ``(_INJECT, injection_key, overshadow_candidate)``: consumes the next
+#: injection result.
+_INJECT = "inject"
+#: ``(_REUSE, injection_key)``: answered by the injection cache.
+_REUSE = "reuse"
 
-    injection_cache: EquivalenceCache
-    injections: int = 0
-    propagation_checks: int = 0
-    unresolved: int = 0
-    injection_outcomes: Dict[OutcomeClass, int] = field(default_factory=dict)
+_UNMASKED = (_SETTLED, 0.0, None, None)
+_OVERSHADOWED = (
+    _SETTLED, 1.0, MaskingLevel.OPERATION, MaskingCategory.OVERSHADOW
+)
 
 
-#: Per-pattern plan for a site predicted to be answered by the site cache.
-_CACHED = ("cached",)
+class _Resolver:
+    """Plan → batch → apply resolution of one data object's fault sites.
 
+    The per-site decision procedure (Fig. 3) is an operation-level
+    verdict, then bounded propagation, then deterministic injection, with
+    error-equivalence budgets capping how many full analyses and
+    injections run.  Every budget decision — the site cache's
+    ``should_analyze``, the injection cache's quota, ``max_injections``
+    and class-tail saturation — depends only on how many samples were
+    taken before, never on what they concluded.  So:
 
-class _SpeculativeResolver:
-    """Plan-ahead scheduler for injection-resolved sites.
-
-    The equivalence caches' budget decisions — ``should_analyze`` and the
-    per-object ``max_injections`` cap — are *count*-based: they depend on
-    which sites were analysed before this one, never on what the analyses
-    concluded.  So the scan phase can walk participations in order,
-    replaying those decisions against shadow counters, and collect every
-    predicted injection into a pending window.  When the window fills, the
-    whole batch goes through :meth:`DeterministicFaultInjector.inject_many`
-    (one snapshot restore + one lockstep suffix walk per interval) and the
-    buffered per-site plans are *applied* in exact scan order against the
-    real caches: every budget decision is re-made with the actual state,
-    and a speculated result is consumed only when the actual decision
-    agrees with the prediction.  Disagreement (impossible organically —
-    only external cache mutation or a monkeypatched predictor causes it)
-    discards that speculated result and resolves the site sequentially, so
-    the accumulated numbers are bit-identical to the sequential oracle no
-    matter what the predictor said.
-
-    Pure computations (masking verdicts, propagation analysis) run once,
-    during the scan, and ride along in the plan; the apply phase only
-    touches caches and accumulators, in the sequential path's exact float
-    accumulation order.
+    * **scan** walks the participations in order and makes each decision
+      exactly, against sample counters.  It runs the pure analyses (the
+      masking verdict and :meth:`PropagationAnalyzer.analyze`) on the spot
+      and queues every injection it decides on;
+    * **batch**: once ``speculation_window`` injections are queued (0
+      means batches of one) or :attr:`MAX_OPS` plans are buffered, the
+      queue goes through :meth:`DeterministicFaultInjector.inject_many`;
+    * **apply** folds the buffered plans into the equivalence caches and
+      accumulators in scan order — the float accumulation order of a
+      one-site-at-a-time loop, so reports are identical at every window.
     """
 
-    #: Hard bound on buffered participation plans per window, so a long
-    #: injection drought cannot hold an unbounded op log in memory.
+    #: Hard bound on buffered participation plans, so a long injection
+    #: drought cannot hold an unbounded plan log in memory.
     MAX_OPS = 8192
 
-    def __init__(
-        self,
-        engine: AdvfEngine,
-        site_cache: EquivalenceCache,
-        state: _ObjectState,
-        tails: Dict[Tuple, "_ClassTail"],
-        window: int,
-        by_level: Dict[MaskingLevel, float],
-        by_category: Dict[MaskingCategory, float],
-    ) -> None:
+    def __init__(self, engine: AdvfEngine) -> None:
+        config = engine.config
         self.engine = engine
-        self.site_cache = site_cache
-        self.state = state
-        self.tails = tails
-        self.window = window
-        self.by_level = by_level
-        self.by_category = by_category
+        self.config = config
+        self.window = max(1, int(config.speculation_window))
+        self.can_inject = config.use_injection and engine._injector is not None
+        self.site_cache = EquivalenceCache(samples_per_class=config.equivalence_samples)
+        self.injection_cache = EquivalenceCache(
+            samples_per_class=config.injection_samples_per_class
+        )
+        self.tails: Dict[Tuple, _ClassTail] = {}
+        # report accumulators
         self.numerator = 0.0
-        # shadow counters the scan predicts budget decisions against
-        self._pred_site: Dict[Tuple, int] = {}
-        self._pred_inj: Dict[Tuple, int] = {}
-        self._pred_injections = 0
-        self._pred_saturated: set = set()
-        # buffered work: per-participation plans + the pending spec window
+        self.by_level: Dict[MaskingLevel, float] = {}
+        self.by_category: Dict[MaskingCategory, float] = {}
+        self.injection_outcomes: Dict[OutcomeClass, int] = {}
+        self.injections = 0
+        self.propagation_checks = 0
+        self.unresolved = 0
+        # sample counters behind the scan's budget decisions
+        self._site_samples: Dict[Tuple, int] = {}
+        self._injection_samples: Dict[Tuple, int] = {}
+        self._injections_decided = 0
+        self._saturated: set = set()
+        # buffered plans, queued fault specs, and submitted-but-unapplied
+        # injection results (all in scan order)
         self._ops: List[Tuple] = []
-        self._pending: List = []
+        self._queue: List = []
+        self._results: deque = deque()
         # telemetry
-        self._speculated = 0
-        self._discards = 0
+        self._batched = 0
         self._windows = 0
-        self._mispredictions = 0
 
     # ------------------------------------------------------------------ #
-    # scan phase: predict decisions, buffer plans, collect specs
+    # scan: exact budget decisions, pure analyses, queued injections
     # ------------------------------------------------------------------ #
     def scan(self, participation: Participation) -> None:
-        engine = self.engine
-        patterns = engine.config.error_model.patterns_for(participation.value_type)
+        patterns = self.config.error_model.patterns_for(participation.value_type)
         if not patterns:
             return
+        uid = participation.static_uid
+        role = participation.role.value
+        operand = participation.operand_index
         class_key = None
-        if engine._passes is not None:
-            class_key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                participation.value_type.name,
-            )
-            if self._predict_tail(class_key, participation, patterns):
-                self._ops.append((participation, patterns, class_key, None))
-                self._maybe_flush()
+        if self.engine._passes is not None:
+            class_key = (uid, role, operand, participation.value_type.name)
+            if class_key in self._saturated:
+                self._push((participation, patterns, class_key, None))
                 return
-        plans: List[Tuple] = []
         samples = self.site_cache.samples_per_class
-        pred_site = self._pred_site
+        site_samples = self._site_samples
+        plans: List[Optional[Tuple]] = []
+        fresh = False
         for pattern in patterns:
-            key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                pattern.primary_bit,
-            )
-            count = pred_site.get(key, 0)
+            key = (uid, role, operand, pattern.primary_bit)
+            count = site_samples.get(key, 0)
             if count >= samples:
-                plans.append(_CACHED)
-                continue
-            pred_site[key] = count + 1
-            plans.append(self._plan_site(participation, pattern))
-        self._ops.append((participation, patterns, class_key, plans))
-        self._maybe_flush()
+                plans.append(None)
+            else:
+                site_samples[key] = count + 1
+                plans.append(self._plan(participation, pattern))
+                fresh = True
+        if not fresh and class_key is not None:
+            # every pattern of the class has its full sample budget
+            self._saturated.add(class_key)
+            plans = None
+        self._push((participation, patterns, class_key, plans))
 
-    def _predict_tail(self, class_key, participation, patterns) -> bool:
-        """Whether the participation's class is predicted tail-saturated."""
-        if class_key in self._pred_saturated:
-            return True
-        samples = self.site_cache.samples_per_class
-        pred_site = self._pred_site
-        for pattern in patterns:
-            key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                pattern.primary_bit,
-            )
-            if pred_site.get(key, 0) < samples:
-                return False
-        self._pred_saturated.add(class_key)
-        return True
-
-    def _plan_site(self, participation: Participation, pattern: ErrorPattern) -> Tuple:
-        """Scan-time mirror of :meth:`AdvfEngine._analyze_site`: run the
-        pure analyses now, predict the injection decision, defer all cache
-        and accumulator effects to the apply phase."""
+    def _plan(self, participation: Participation, pattern: ErrorPattern) -> Tuple:
+        """One full site analysis: the pure levels now, injection queued."""
         engine = self.engine
         if engine._passes is not None:
             verdict = engine._passes.verdict(participation, pattern)
         else:
             verdict = engine._masking.analyze(participation, pattern)
         if verdict.masked is True:
-            return ("resolved", 1.0, verdict.level, verdict.category, 0)
+            return (_SETTLED, 1.0, verdict.level, verdict.category)
         if verdict.masked is False and not (
             verdict.needs_propagation or verdict.needs_injection
         ):
-            return ("resolved", 0.0, None, None, 0)
-        prop = 0
+            return _UNMASKED
         if verdict.needs_propagation:
-            prop = 1
+            self.propagation_checks += 1
             propagation = engine._propagation.analyze(
                 participation, pattern, verdict.corrupted_result
             )
@@ -781,285 +505,173 @@ class _SpeculativeResolver:
                     else MaskingLevel.PROPAGATION
                 )
                 category = propagation.category or MaskingCategory.OVERWRITE
-                return ("resolved", 1.0, level, category, prop)
-        config = engine.config
-        can_inject = (
-            config.use_injection
-            and engine._injector is not None
-            and pattern.is_single_bit
-        )
+                return (_SETTLED, 1.0, level, category)
+            # unresolved / survived: fall through to injection
         injection_key = (
             participation.static_uid,
             participation.role.value,
             participation.operand_index,
             classify_bit(pattern.primary_bit, participation.value_type),
         )
-        if can_inject and self._predict_inject(injection_key):
-            self._pred_injections += 1
-            self._pred_inj[injection_key] = (
-                self._pred_inj.get(injection_key, 0) + 1
-            )
-            index = len(self._pending)
-            self._pending.append(
-                FaultSite(participation, pattern.primary_bit).to_spec()
-            )
-            return ("inject", index, injection_key, verdict, prop)
-        return ("fallback", injection_key, verdict, prop)
+        taken = self._injection_samples.get(injection_key, 0)
+        if (
+            self.can_inject
+            and pattern.is_single_bit
+            and self._injections_decided < self.config.max_injections
+            and taken < self.injection_cache.samples_per_class
+        ):
+            self._injections_decided += 1
+            self._injection_samples[injection_key] = taken + 1
+            self._queue.append(FaultSite(participation, pattern.primary_bit).to_spec())
+            if len(self._queue) >= self.window:
+                self._flush()
+            return (_INJECT, injection_key, verdict.overshadow_candidate)
+        if taken:
+            return (_REUSE, injection_key)
+        # Out of budget (or injection disabled): analytic fallback.
+        if verdict.overshadow_candidate and self.config.analytic_overshadow_fallback:
+            return _OVERSHADOWED
+        self.unresolved += 1
+        return _UNMASKED
 
-    def _predict_inject(self, injection_key) -> bool:
-        """Predicted budget decision for one candidate injection.
-
-        A separate method so tests can force mispredictions by patching it;
-        organically its answers always match the apply-time re-check."""
-        if self._pred_injections >= self.engine.config.max_injections:
-            return False
-        return (
-            self._pred_inj.get(injection_key, 0)
-            < self.state.injection_cache.samples_per_class
-        )
-
-    # ------------------------------------------------------------------ #
-    # apply phase: validate predictions against the real caches, in order
-    # ------------------------------------------------------------------ #
-    def _maybe_flush(self) -> None:
-        if not self._pending:
-            # nothing speculated yet: apply immediately so injection-free
-            # stretches carry no buffering overhead or memory growth
-            self._flush()
-        elif len(self._pending) >= self.window or len(self._ops) >= self.MAX_OPS:
+    def _push(self, op: Tuple) -> None:
+        self._ops.append(op)
+        if not self._queue:
+            # every injection the buffered ops need has run: apply them now
+            self._apply_ops()
+        elif len(self._ops) >= self.MAX_OPS:
             self._flush()
 
-    def finish(self) -> Dict[str, int]:
-        """Flush the final window and publish telemetry."""
-        self._flush()
-        engine = self.engine
-        counts = {
-            "speculated": self._speculated,
-            "spec_discards": self._discards,
-            "spec_windows": self._windows,
-            "spec_mispredictions": self._mispredictions,
-        }
-        for key, value in counts.items():
-            if value:
-                engine.speculation_stats[key] = (
-                    engine.speculation_stats.get(key, 0) + value
-                )
-        reg = _metrics_registry()
-        if reg.enabled:
-            workload = engine.workload.name
-            if self._speculated:
-                reg.inc("advf.speculated", self._speculated, workload=workload)
-            if self._discards:
-                reg.inc(
-                    "advf.speculation_discards", self._discards,
-                    workload=workload,
-                )
-            if self._windows:
-                reg.inc(
-                    "advf.speculation_windows", self._windows,
-                    workload=workload,
-                )
-        if engine._injector is not None:
-            engine._injector.record_speculation({
-                "speculated": self._speculated,
-                "spec_discards": self._discards,
-                "spec_windows": self._windows,
-            })
-        return counts
-
+    # ------------------------------------------------------------------ #
+    # batch + apply
+    # ------------------------------------------------------------------ #
     def _flush(self) -> None:
-        ops, self._ops = self._ops, []
-        pending, self._pending = self._pending, []
-        results: List = []
-        if pending:
+        """Submit the queued injections as one batch, then apply every
+        buffered op whose results are now available."""
+        queue, self._queue = self._queue, []
+        if queue:
             engine = self.engine
             self._windows += 1
-            self._speculated += len(pending)
+            self._batched += len(queue)
             start = time.perf_counter()
-            results = engine._injector.inject_many(pending)
+            self._results.extend(engine._injector.inject_many(queue))
             engine.pass_timings["injection"] = (
                 engine.pass_timings.get("injection", 0.0)
                 + (time.perf_counter() - start)
             )
+        self._apply_ops()
+
+    def _apply_ops(self) -> None:
+        ops, self._ops = self._ops, []
         for op in ops:
-            self._apply(op, results)
-        if pending:
-            self._resync()
+            self._apply(op)
 
-    def _resync(self) -> None:
-        """Re-anchor the shadow counters on the actual caches.
-
-        After a clean window this is a no-op by construction; after a
-        forced misprediction it stops the divergence from compounding."""
-        self._pred_injections = self.state.injections
-        self._pred_inj = {
-            key: entry.sample_count
-            for key, entry in self.state.injection_cache.entries.items()
-        }
-        self._pred_site = {
-            key: entry.sample_count
-            for key, entry in self.site_cache.entries.items()
-        }
-        self._pred_saturated.clear()
-
-    def _apply(self, op: Tuple, results: List) -> None:
+    def _apply(self, op: Tuple) -> None:
         participation, patterns, class_key, plans = op
-        site_cache = self.site_cache
-        if class_key is not None:
-            # real tail check, exactly where the sequential loop does it
-            tails = self.tails
-            tail = tails.get(class_key)
-            if tail is None:
-                tail = _build_class_tail(site_cache, participation, patterns)
-                if tail is not None:
-                    tails[class_key] = tail
-            if tail is not None:
-                by_level = self.by_level
-                for level, weights in tail.level_weights:
-                    acc = by_level.get(level, 0.0)
-                    for weight in weights:
-                        acc += weight
-                    by_level[level] = acc
-                by_category = self.by_category
-                for category, weights in tail.category_weights:
-                    acc = by_category.get(category, 0.0)
-                    for weight in weights:
-                        acc += weight
-                    by_category[category] = acc
-                self.numerator += tail.masked_quotient
-                tail.uses += 1
-                if plans:
-                    # the class saturated earlier than predicted: any specs
-                    # this participation speculated are never consumed
-                    for plan in plans:
-                        if plan[0] == "inject":
-                            self._mispredictions += 1
-                            self._discards += 1
-                return
+        by_level = self.by_level
+        by_category = self.by_category
         if plans is None:
-            # predicted tail-saturated but the real cache still owes
-            # analyses: resolve the whole participation sequentially
-            self._mispredictions += 1
-            self._sequential_participation(participation, patterns)
+            tail = self.tails.get(class_key)
+            if tail is None:
+                tail = self.tails[class_key] = _build_class_tail(
+                    self.site_cache, participation, patterns
+                )
+            # Additions to different dict slots commute, so the per-pattern
+            # weights are replayed grouped by level / category (in pattern
+            # order within each group) — the running sum of every slot sees
+            # the identical addition sequence the per-pattern loop produces.
+            for level, weights in tail.level_weights:
+                acc = by_level.get(level, 0.0)
+                for weight in weights:
+                    acc += weight
+                by_level[level] = acc
+            for category, weights in tail.category_weights:
+                acc = by_category.get(category, 0.0)
+                for weight in weights:
+                    acc += weight
+                by_category[category] = acc
+            self.numerator += tail.masked_quotient
+            tail.uses += 1
+            return
+        site_cache = self.site_cache
+        injection_cache = self.injection_cache
+        uid = participation.static_uid
+        role = participation.role.value
+        operand = participation.operand_index
+        n = len(patterns)
+        masked_total = 0.0
+        for pattern, plan in zip(patterns, plans):
+            key = (uid, role, operand, pattern.primary_bit)
+            if plan is None:
+                masked, level, category = site_cache.estimate(key)
+            else:
+                tag = plan[0]
+                if tag is _SETTLED:
+                    _, masked, level, category = plan
+                elif tag is _INJECT:
+                    _, injection_key, overshadow = plan
+                    outcome = self._results.popleft().outcome
+                    self.injections += 1
+                    self.injection_outcomes[outcome] = (
+                        self.injection_outcomes.get(outcome, 0) + 1
+                    )
+                    masked, level, category = _classify_injection(outcome, overshadow)
+                    injection_cache.record(injection_key, masked, level, category)
+                else:
+                    masked, level, category = injection_cache.estimate(plan[1])
+                site_cache.record(key, masked, level, category)
+            masked_total += masked
+            weight = masked / n
+            if weight > 0.0 and level is not None:
+                by_level[level] = by_level.get(level, 0.0) + weight
+            if weight > 0.0 and category is not None:
+                by_category[category] = by_category.get(category, 0.0) + weight
+        self.numerator += masked_total / n
+
+    # ------------------------------------------------------------------ #
+    # report
+    # ------------------------------------------------------------------ #
+    def finish(self, object_name: str, participations: int) -> ObjectReport:
+        """Flush the last batch, publish telemetry, build the report."""
+        self._flush()
+        # The tail fast path defers the equivalence cache's reuse
+        # accounting; settle it so coverage statistics stay exact.
+        for tail in self.tails.values():
+            if tail.uses:
+                for entry, per_use in tail.entry_counts:
+                    entry.reused += per_use * tail.uses
+        self._publish_telemetry()
+        result = AdvfResult(
+            object_name=object_name,
+            value=(self.numerator / participations) if participations else 0.0,
+            participations=participations,
+            masked_events=self.numerator,
+            by_level=self.by_level,
+            by_category=self.by_category,
+        )
+        return ObjectReport(
+            result=result,
+            injections=self.injections,
+            injection_outcomes=self.injection_outcomes,
+            propagation_checks=self.propagation_checks,
+            unresolved=self.unresolved,
+            analyses_performed=self.site_cache.analyses_performed,
+            analyses_reused=self.site_cache.analyses_reused,
+        )
+
+    def _publish_telemetry(self) -> None:
+        if not self._batched:
             return
         engine = self.engine
-        state = self.state
-        n = len(patterns)
-        masked_total = 0.0
-        by_level = self.by_level
-        by_category = self.by_category
-        for pattern, plan in zip(patterns, plans):
-            key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                pattern.primary_bit,
-            )
-            if site_cache.should_analyze(key):
-                tag = plan[0]
-                if tag == "resolved":
-                    _, masked, level, category, prop = plan
-                    state.propagation_checks += prop
-                elif tag == "inject":
-                    masked, level, category = self._apply_inject(
-                        participation, pattern, plan, results
-                    )
-                elif tag == "fallback":
-                    _, injection_key, verdict, prop = plan
-                    state.propagation_checks += prop
-                    before = state.injections
-                    masked, level, category = engine._resolve_by_injection(
-                        participation, pattern, verdict, state
-                    )
-                    if state.injections != before:
-                        # predicted out-of-budget, actually injectable:
-                        # resolved by a sequential injection just now
-                        self._mispredictions += 1
-                else:  # predicted cached, but the cache still owes analyses
-                    self._mispredictions += 1
-                    masked, level, category = engine._analyze_site(
-                        participation, pattern, state
-                    )
-                site_cache.record(key, masked, level, category)
-            else:
-                if plan is not _CACHED:
-                    self._mispredictions += 1
-                    if plan[0] == "inject":
-                        self._discards += 1
-                masked, level, category = site_cache.estimate(key)
-            masked_total += masked
-            weight = masked / n
-            if weight > 0.0 and level is not None:
-                by_level[level] = by_level.get(level, 0.0) + weight
-            if weight > 0.0 and category is not None:
-                by_category[category] = by_category.get(category, 0.0) + weight
-        self.numerator += masked_total / n
-
-    def _apply_inject(
-        self, participation: Participation, pattern: ErrorPattern,
-        plan: Tuple, results: List,
-    ) -> Tuple[float, Optional[MaskingLevel], Optional[MaskingCategory]]:
-        """Consume one speculated injection if the actual budget decision
-        still agrees; otherwise discard it and resolve sequentially."""
-        _, index, injection_key, verdict, prop = plan
-        engine = self.engine
-        state = self.state
-        config = engine.config
-        state.propagation_checks += prop
-        can_inject = (
-            config.use_injection
-            and engine._injector is not None
-            and pattern.is_single_bit
-        )
-        if can_inject and state.injections < config.max_injections and (
-            state.injection_cache.should_analyze(injection_key)
-        ):
-            result = results[index]
-            state.injections += 1
-            state.injection_outcomes[result.outcome] = (
-                state.injection_outcomes.get(result.outcome, 0) + 1
-            )
-            masked, level, category = engine._classify_injection(
-                result.outcome, verdict
-            )
-            state.injection_cache.record(injection_key, masked, level, category)
-            return masked, level, category
-        self._mispredictions += 1
-        self._discards += 1
-        return engine._resolve_by_injection(participation, pattern, verdict, state)
-
-    def _sequential_participation(
-        self, participation: Participation, patterns: Sequence[ErrorPattern]
-    ) -> None:
-        """The sequential per-pattern loop, for mispredicted participations."""
-        engine = self.engine
-        site_cache = self.site_cache
-        state = self.state
-        n = len(patterns)
-        masked_total = 0.0
-        by_level = self.by_level
-        by_category = self.by_category
-        for pattern in patterns:
-            key = (
-                participation.static_uid,
-                participation.role.value,
-                participation.operand_index,
-                pattern.primary_bit,
-            )
-            if site_cache.should_analyze(key):
-                masked, level, category = engine._analyze_site(
-                    participation, pattern, state
-                )
-                site_cache.record(key, masked, level, category)
-            else:
-                masked, level, category = site_cache.estimate(key)
-            masked_total += masked
-            weight = masked / n
-            if weight > 0.0 and level is not None:
-                by_level[level] = by_level.get(level, 0.0) + weight
-            if weight > 0.0 and category is not None:
-                by_category[category] = by_category.get(category, 0.0) + weight
-        self.numerator += masked_total / n
+        counts = {"speculated": self._batched, "spec_windows": self._windows}
+        for key, value in counts.items():
+            engine.speculation_stats[key] = engine.speculation_stats.get(key, 0) + value
+        reg = _metrics_registry()
+        if reg.enabled:
+            workload = engine.workload.name
+            reg.inc("advf.speculated", self._batched, workload=workload)
+            reg.inc("advf.speculation_windows", self._windows, workload=workload)
+        engine._injector.record_speculation(counts)
 
 
 @dataclass

@@ -109,7 +109,7 @@ class DeterministicFaultInjector:
         self._stats_seen: Dict[str, int] = {}
         self._warmed = False
         self._memo_backend: Optional[str] = None
-        #: aDVF speculation telemetry folded into :meth:`consume_batch_stats`
+        #: aDVF batching telemetry folded into :meth:`consume_batch_stats`
         #: (stamped per shard next to the scheduler counters).
         self._speculation: Dict[str, int] = {}
 
@@ -244,8 +244,8 @@ class DeterministicFaultInjector:
         return delta
 
     def record_speculation(self, counts: Dict[str, int]) -> None:
-        """Accumulate aDVF speculation telemetry (``speculated`` /
-        ``spec_discards`` / ``spec_windows``) for the next
+        """Accumulate aDVF batching telemetry (``speculated`` /
+        ``spec_windows``) for the next
         :meth:`consume_batch_stats`, which stamps it into shard rows."""
         for key, value in counts.items():
             if value:

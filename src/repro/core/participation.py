@@ -77,16 +77,18 @@ def find_participations(
 ) -> List[Participation]:
     """Enumerate every participation of ``object_name`` in ``trace``.
 
-    Dispatches to the vectorized columnar pass when the trace exposes
-    column views, and to the per-event scan otherwise.
+    Dispatches to the vectorized columnar pass for a
+    :class:`~repro.tracing.columnar.ColumnarTrace`, and to the per-event
+    scan otherwise.
     ``max_participations`` caps the result by taking an evenly-strided
     subsample (deterministic), which keeps analysis of very long traces
     bounded; the aDVF value is a ratio, so even subsampling preserves it in
     expectation.
     """
-    columns = trace.columns() if isinstance(trace, ColumnarTrace) else None
-    if columns is not None:
-        participations = _find_participations_columnar(trace, columns, object_name)
+    if isinstance(trace, ColumnarTrace):
+        participations = _find_participations_columnar(
+            trace, trace.columns(), object_name
+        )
     else:
         participations = _find_participations_scan(trace, object_name)
 

@@ -8,7 +8,7 @@ return / stored value), and the materialised trace event itself.  All of
 these are properties of the *participation*, not the pattern.
 
 :class:`OperationPasses` computes them once per data object, array-at-a-time
-where the trace exposes NumPy columns:
+over the trace's NumPy columns:
 
 * **value-overwriting pass** — store-destination participations are
   screened with a vectorized depth-1 read-modify-write predicate (is the
@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import time
 from typing import Dict, Iterable, List, Optional
+
+import numpy as np
 
 from repro.core.masking import MaskingVerdict, OperationMaskingAnalyzer
 from repro.core.participation import Participation, ParticipationRole
@@ -130,32 +132,22 @@ class OperationPasses:
         """Vectorized depth-1 RMW screen; chain walk for the remainder."""
         if not store_ids:
             return
-        undecided = store_ids
         cols = self.trace.columns()
-        if cols is not None:
-            import numpy as np
-
-            sids = np.asarray(store_ids, dtype=np.int64)
-            producer0 = cols.producers[cols.offsets[sids]]
-            valid = producer0 >= 0
-            resolved = (cols.object_id[sids] >= 0) & (cols.element[sids] >= 0)
-            depth1 = np.zeros(len(sids), dtype=bool)
-            pv = producer0[valid]
-            sv = sids[valid]
-            depth1[valid] = (
-                (cols.opcode[pv] == LOAD_CODE)
-                & (cols.object_id[pv] == cols.object_id[sv])
-                & (cols.element[pv] == cols.element[sv])
-            )
-            depth1 &= resolved
-            undecided = []
-            for event_id, is_rmw in zip(store_ids, depth1.tolist()):
-                if is_rmw:
-                    self._rmw[event_id] = True
-                else:
-                    undecided.append(event_id)
-        for event_id in undecided:
-            self._rmw[event_id] = _rmw_walk(self.trace, event_id)
+        sids = np.asarray(store_ids, dtype=np.int64)
+        producer0 = cols.producers[cols.offsets[sids]]
+        valid = producer0 >= 0
+        resolved = (cols.object_id[sids] >= 0) & (cols.element[sids] >= 0)
+        depth1 = np.zeros(len(sids), dtype=bool)
+        pv = producer0[valid]
+        sv = sids[valid]
+        depth1[valid] = (
+            (cols.opcode[pv] == LOAD_CODE)
+            & (cols.object_id[pv] == cols.object_id[sv])
+            & (cols.element[pv] == cols.element[sv])
+        )
+        depth1 &= resolved
+        for event_id, is_rmw in zip(store_ids, depth1.tolist()):
+            self._rmw[event_id] = True if is_rmw else _rmw_walk(self.trace, event_id)
 
     def _trivial_consumption_pass(self, consumed: List[Participation]) -> None:
         opcode_of = self.trace.opcode_of

@@ -77,16 +77,14 @@ class PropagationAnalyzer:
     def _index_trace(self) -> None:
         from repro.tracing.columnar import LOAD_CODE, ColumnarTrace
 
-        cols = (
-            self.trace.columns() if isinstance(self.trace, ColumnarTrace) else None
-        )
-        if cols is not None:
+        if isinstance(self.trace, ColumnarTrace):
             # columnar fast path: the same indices, built from the integer
             # columns instead of a per-event materialising scan.  Ascending
             # flat/event order makes "last assignment wins" in the zips
             # equivalent to the scan's forward overwrites.
             import numpy as np
 
+            cols = self.trace.columns()
             used = cols.producers >= 0
             self._last_use = dict(
                 zip(cols.producers[used].tolist(), cols.owner[used].tolist())

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.ir.types import IRType, VOID, I1, PointerType
+from repro.ir.types import IRType, PointerType
 from repro.ir.values import Value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -264,13 +264,3 @@ class Instruction(Value):
         ops = ", ".join(op.short() for op in self.operands)
         pred = f" {self.predicate.value}" if self.predicate else ""
         return f"<{self.opcode.value}{pred} {ops}>"
-
-
-def make_icmp_result_type() -> IRType:
-    """Result type of comparison instructions (``i1``)."""
-    return I1
-
-
-def make_void() -> IRType:
-    """Result type of instructions that produce no value."""
-    return VOID

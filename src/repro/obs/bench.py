@@ -1,7 +1,7 @@
 """Bench-regression watchdog: ``python -m repro bench check``.
 
 The repository commits one ``BENCH_*.json`` baseline per performance
-claim (MIR speedup, replay batching, speculative injection, telemetry
+claim (MIR speedup, replay batching, batched aDVF injection, telemetry
 overhead).  This module turns those snapshots into *gates with history*:
 
 * ``check`` re-runs a benchmark's ``measure_all()`` (the same entry point

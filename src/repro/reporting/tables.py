@@ -149,11 +149,13 @@ def format_shard_table(
     faults-per-restore amortization, and the convergence-memo hit rate
     among divergent replays.  Optional speculation keys (``speculated``,
     ``spec_discards``, ``spec_windows`` — schema v6) add the aDVF
-    speculative-injection view: pattern resolutions predicted ahead of
-    their budget decisions, the fraction of those predictions that were
-    discarded, and the number of speculation windows flushed.  Shards
-    recorded before batching/speculation (or by workers without them)
-    render ``-`` in those columns.
+    batched-injection view: injections submitted in batches and the
+    number of batches.  The ``discard`` column is the fraction of batched
+    injections discarded; the aDVF resolver decides every injection
+    exactly and never discards one, so it reads 0 for new shards (only
+    shards recorded by older builds can show discards).  Shards recorded
+    before batching (or by workers without it) render ``-`` in those
+    columns.
     """
     rendered = []
     for row in (rows if limit is None else rows[-limit:]):

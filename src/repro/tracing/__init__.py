@@ -19,7 +19,7 @@ Public API
 from repro.tracing.events import OperandKind, TraceEvent
 from repro.tracing.trace import Trace, TraceSummary
 from repro.tracing.cursor import TraceCursor, TraceLike
-from repro.tracing.columnar import ColumnarTrace, TraceColumns, have_numpy
+from repro.tracing.columnar import ColumnarTrace, TraceColumns
 from repro.tracing.cache import TraceCache, trace_digest
 from repro.tracing.sinks import ColumnarTraceSink, CountingSink, TraceSink
 from repro.tracing.serialize import (
@@ -43,7 +43,6 @@ __all__ = [
     "CountingSink",
     "TraceCache",
     "trace_digest",
-    "have_numpy",
     "trace_to_jsonl",
     "trace_from_jsonl",
     "save_trace",

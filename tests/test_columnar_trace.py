@@ -1,4 +1,4 @@
-"""The columnar trace store: event fidelity, persistence, cache, fallback.
+"""The columnar trace store: event fidelity, persistence, cache.
 
 Contracts under test:
 
@@ -6,11 +6,7 @@ Contracts under test:
   ``Trace`` of the same (deterministic) execution;
 * ``.npz`` and ``.jsonl`` artifacts round-trip every event field;
 * the trace cache is content-addressed, hit/miss accounted, and honours
-  ``REPRO_TRACE_CACHE`` (including the ``off`` switch);
-* the pure-python fallback (NumPy masked out) keeps the store fully
-  functional with ``columns()`` degrading to ``None``;
-* direct ``Trace.events`` access warns (deprecated in favour of the
-  ``TraceLike`` protocol).
+  ``REPRO_TRACE_CACHE`` (including the ``off`` switch).
 """
 
 from __future__ import annotations
@@ -57,13 +53,14 @@ class TestColumnarTrace:
         full, columnar = matmul_traces
         _assert_streams_equal(full, columnar)
 
+    def test_from_events_matches_full_trace(self, matmul_traces):
+        full, _ = matmul_traces
+        _assert_streams_equal(full, ColumnarTrace.from_events(full))
+
     def test_events_are_memoised(self, matmul_traces):
         _, columnar = matmul_traces
         assert columnar[7] is columnar[7]
 
-    @pytest.mark.skipif(
-        not columnar_module.have_numpy(), reason="columns need NumPy"
-    )
     def test_columns_are_consistent_with_events(self, matmul_traces):
         full, columnar = matmul_traces
         cols = columnar.columns()
@@ -103,8 +100,6 @@ class TestColumnarTrace:
 class TestPersistence:
     @pytest.mark.parametrize("suffix", [".npz", ".jsonl"])
     def test_roundtrip(self, matmul_traces, tmp_path, suffix):
-        if suffix == ".npz" and not columnar_module.have_numpy():
-            pytest.skip(".npz artifacts need NumPy")
         _, columnar = matmul_traces
         path = columnar.save(tmp_path / f"trace{suffix}")
         reloaded = ColumnarTrace.load(path)
@@ -148,55 +143,3 @@ class TestTraceCache:
         assert cache is not None and cache.root == tmp_path / "c"
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
         assert TraceCache.from_env() is None
-
-
-# --------------------------------------------------------------------- #
-# pure-python fallback
-# --------------------------------------------------------------------- #
-class TestPurePythonFallback:
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(columnar_module, "_np", None)
-
-    def test_columns_degrade_to_none(self, matmul_traces, no_numpy):
-        full, _ = matmul_traces
-        trace = ColumnarTrace.from_events(full)
-        assert trace.columns() is None
-        _assert_streams_equal(full, trace)
-
-    def test_jsonl_fallback_roundtrip(self, matmul_traces, tmp_path, no_numpy):
-        full, _ = matmul_traces
-        trace = ColumnarTrace.from_events(full)
-        assert columnar_module.artifact_suffix() == ".jsonl"
-        reloaded = ColumnarTrace.load(trace.save(tmp_path / "t.jsonl"))
-        _assert_streams_equal(trace, reloaded)
-
-    def test_npz_requires_numpy(self, matmul_traces, tmp_path, no_numpy):
-        full, _ = matmul_traces
-        trace = ColumnarTrace.from_events(full)
-        with pytest.raises(RuntimeError, match="NumPy"):
-            trace.save(tmp_path / "t.npz")
-
-    @pytest.mark.skipif(
-        not columnar_module.have_numpy(), reason="needs NumPy to write the .npz"
-    )
-    def test_cache_skips_foreign_npz_artifacts(
-        self, matmul_traces, tmp_path, monkeypatch
-    ):
-        _, columnar = matmul_traces
-        cache = TraceCache(tmp_path / "cache")
-        digest = trace_digest("matmul", {})
-        cache.store(digest, columnar)
-        assert cache.find(digest).suffix == ".npz"
-        monkeypatch.setattr(columnar_module, "_np", None)
-        assert cache.find(digest) is None  # unreadable without numpy
-
-
-# --------------------------------------------------------------------- #
-# Trace.events deprecation shim
-# --------------------------------------------------------------------- #
-def test_trace_events_access_is_deprecated(matmul_traces):
-    full, _ = matmul_traces
-    with pytest.warns(DeprecationWarning, match="TraceLike"):
-        events = full.events
-    assert len(events) == len(full)

@@ -5,9 +5,6 @@ eviction point and hands each divergent fault its own clone; these tests
 pin down the isolation contract that makes that safe: arrays are shared
 until written, the first typed write on either side copies privately, and
 allocator state (bases, counters, stack objects) is carried over exactly.
-
-The suite also runs in the CI pure-python leg (``REPRO_NO_NUMPY=1``) —
-the fork path itself is backend-independent.
 """
 
 from __future__ import annotations

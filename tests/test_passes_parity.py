@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.tracing.columnar as columnar_module
 from repro.core.advf import AdvfEngine, AnalysisConfig
 from repro.core.masking import OperationMaskingAnalyzer
 from repro.core.participation import find_participations
@@ -138,13 +137,6 @@ def test_advf_bit_identical_with_injection(name):
         error_model=SingleBitModel(bit_stride=8),
     )
     _assert_reports_identical(legacy, columnar)
-
-
-def test_advf_bit_identical_in_pure_python_fallback(monkeypatch):
-    monkeypatch.setattr(columnar_module, "_np", None)
-    legacy = _advf(_small("matmul"), "legacy", use_injection=False)
-    fallback = _advf(_small("matmul"), "columnar", use_injection=False)
-    _assert_reports_identical(legacy, fallback)
 
 
 def test_unknown_pipeline_rejected():
