@@ -73,6 +73,11 @@ _UNDEF = _Undef()
 #: Sentinel for "no pause scheduled" in the engine loop.
 _NEVER = 1 << 62
 
+
+class _ExitedBeforeTarget(VMError):
+    """:meth:`Engine.run_to`'s program returned before reaching its target."""
+
+
 # Decoded opcode kinds (small ints; if/elif chain ordered by frequency).
 K_FN = 0            # pure evaluator bound at decode time (arith/cmp/conv/...)
 K_LOAD = 1
@@ -423,6 +428,13 @@ def _values_bit_equal(a: object, b: object) -> bool:
     if ta is not tb:
         return False
     if ta is float:
+        # ``==`` agrees with bit equality except on zeros (0.0 == -0.0)
+        # and NaNs (never equal, payloads may match): pack only those
+        if a == b:
+            if a:
+                return True
+        elif a == a or b == b:
+            return False
         return struct.pack("<d", a) == struct.pack("<d", b)
     return a == b
 
@@ -858,7 +870,7 @@ class Engine:
         finally:
             self._stop_at = _NEVER
         if not self.paused:
-            raise VMError(
+            raise _ExitedBeforeTarget(
                 f"execution finished at dynamic id {self._dyn} before "
                 f"reaching {target}"
             )
@@ -1023,7 +1035,12 @@ class Engine:
           use digest checks against ``golden_digests`` (convergence) and
           ``memo`` (outcome memoization at matching intermediate states);
         * faults still diverged when the program returns resolve to the
-          golden outcome patched with their cell deltas.
+          golden outcome patched with their cell deltas;
+        * while no fault is in flight the walk fast-forwards to the next
+          fault site with :meth:`run_to` (fused segments on the block
+          backend), since the state is exactly golden there;
+        * faults whose site lies past the program's end never fire and
+          resolve golden.
 
         Outcomes are bit-identical to per-fault sequential replay (asserted
         across all registered workloads by ``tests/test_replay_batch.py``).
@@ -1150,6 +1167,21 @@ class Engine:
         # ---- the walk -------------------------------------------------- #
         try:
             while True:
+                if not active and next_arm > dyn:
+                    # no fault in flight: the state is exactly golden, so
+                    # the fast path runs the steps up to the next site
+                    frame.pc = pc
+                    self._dyn = dyn
+                    try:
+                        self.run_to(next_arm)
+                    except _ExitedBeforeTarget:
+                        break
+                    finally:
+                        dyn = self._dyn
+                    frame = frames[-1]
+                    ops = frame.df.ops
+                    regs = frame.regs
+                    pc = frame.pc
                 if dyn >= max_steps:
                     raise StepLimitExceeded(max_steps)
                 op = ops[pc]
@@ -1602,6 +1634,9 @@ class Engine:
         finally:
             self._dyn = dyn
 
+        # sites past the program's end: the fault never fires
+        for resolution in resolutions[next_spec:]:
+            resolution.kind = "golden"
         return resolutions
 
     # ------------------------------------------------------------------ #

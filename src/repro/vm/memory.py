@@ -15,7 +15,7 @@ native execution exhibits.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -81,18 +81,19 @@ class DataObject:
     #: be written through the typed accessors (the VM always is).
     _cow_shared = False
 
-    @property
-    def element_size(self) -> int:
-        return self.element_type.size_bytes
+    #: Bytes per element and one past the last byte address.  Computed once
+    #: here because ``base``, ``count`` and ``element_type`` are never
+    #: reassigned, and every load and store resolves through them.
+    element_size: int = field(init=False, repr=False, compare=False)
+    end: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.element_size = self.element_type.size_bytes
+        self.end = self.base + self.count * self.element_size
 
     @property
     def size_bytes(self) -> int:
         return self.count * self.element_size
-
-    @property
-    def end(self) -> int:
-        """One past the last byte address."""
-        return self.base + self.size_bytes
 
     def contains(self, address: int) -> bool:
         return self.base <= address < self.end
@@ -206,7 +207,7 @@ class Memory:
             obj.fill_from(initial)
         self._next_address = obj.end + self.GUARD_GAP
         self._objects[name] = obj
-        position = bisect.bisect_left(self._bases, base)
+        position = bisect_left(self._bases, base)
         self._bases.insert(position, base)
         self._by_base.insert(position, obj)
         return obj
@@ -223,7 +224,7 @@ class Memory:
         if obj.name not in self._objects:
             return
         del self._objects[obj.name]
-        position = bisect.bisect_left(self._bases, obj.base)
+        position = bisect_left(self._bases, obj.base)
         if position < len(self._bases) and self._bases[position] == obj.base:
             self._bases.pop(position)
             self._by_base.pop(position)
@@ -255,13 +256,19 @@ class Memory:
 
     def resolve(self, address: int) -> Tuple[DataObject, int]:
         """Map a byte address to ``(object, element index)`` or fault."""
-        position = bisect.bisect_right(self._bases, address) - 1
+        position = bisect_right(self._bases, address) - 1
         if position < 0:
             raise SegmentationFault(address)
         obj = self._by_base[position]
-        if not obj.contains(address):
+        # contains() + index_of(), inlined: the bisect already gives
+        # ``obj.base <= address``
+        if address >= obj.end:
             raise SegmentationFault(address)
-        return obj, obj.index_of(address)
+        offset = address - obj.base
+        size = obj.element_size
+        if offset % size:
+            raise SegmentationFault(address, f"misaligned access into {obj.name}")
+        return obj, offset // size
 
     # ------------------------------------------------------------------ #
     # typed access
@@ -280,6 +287,8 @@ class Memory:
 
     @staticmethod
     def _check_access_type(obj: DataObject, value_type: IRType, address: int) -> None:
+        if value_type is obj.element_type:
+            return
         if value_type.size_bytes != obj.element_size or (
             value_type.is_float != obj.element_type.is_float
         ):

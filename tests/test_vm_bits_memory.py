@@ -1,13 +1,14 @@
 """Unit and property tests for bit manipulation and the memory model."""
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ir.types import F32, F64, I8, I16, I32, I64
+from repro.ir.types import F32, F64, I1, I8, I16, I32, I64, pointer_to
 from repro.vm.bits import (
     bits_to_value,
     flip_bit,
@@ -20,6 +21,7 @@ from repro.vm.bits import (
 )
 from repro.vm.errors import SegmentationFault
 from repro.vm.memory import DataObject, Memory
+from repro.workloads.registry import get_workload, workload_names
 
 
 class TestBits:
@@ -182,3 +184,82 @@ class TestMemory:
         memory = Memory()
         obj = memory.allocate("a", F64, len(values), initial=values)
         assert np.allclose(obj.values(), np.asarray(values))
+
+
+# --------------------------------------------------------------------- #
+# constant-time resolution vs the property-chain reference
+# --------------------------------------------------------------------- #
+def _reference_resolve(memory, address):
+    """``Memory.resolve`` as it was written over ``contains``/``index_of``
+    and the ``element_type.size_bytes`` property chain."""
+    position = bisect_right(memory._bases, address) - 1
+    if position < 0:
+        raise SegmentationFault(address)
+    obj = memory._by_base[position]
+    size = obj.element_type.size_bytes
+    if not obj.base <= address < obj.base + obj.count * size:
+        raise SegmentationFault(address)
+    offset = address - obj.base
+    if offset % size:
+        raise SegmentationFault(address, f"misaligned access into {obj.name}")
+    return obj, offset // size
+
+
+def _reference_check_access(obj, value_type, address):
+    if value_type.size_bytes != obj.element_type.size_bytes or (
+        value_type.is_float != obj.element_type.is_float
+    ):
+        raise SegmentationFault(
+            address,
+            f"access of type {value_type} into {obj.name} "
+            f"(element type {obj.element_type})",
+        )
+
+
+def _access(resolve, check, memory, address, value_type):
+    try:
+        obj, index = resolve(memory, address)
+        check(obj, value_type, address)
+    except SegmentationFault as exc:
+        return type(exc), str(exc)
+    return obj, index
+
+
+def _probe_addresses(memory):
+    objects = memory._by_base
+    addresses = {0, objects[0].base - 1, objects[0].base - 8}
+    for obj in objects:
+        size = obj.element_type.size_bytes
+        end = obj.base + obj.count * size
+        addresses.update((
+            obj.base, obj.base + 1, obj.base + size, obj.base + size // 2,
+            end - size, end - 1, end, end + 1, end + Memory.GUARD_GAP // 2,
+            end + Memory.GUARD_GAP - 1,
+        ))
+    return sorted(addresses)
+
+
+ACCESS_TYPES = (I1, I8, I16, I32, I64, F32, F64, pointer_to(F64), pointer_to(I64))
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_resolution_matches_reference_on_workload_layouts(name):
+    memory = get_workload(name).fresh_instance().memory
+    # one extra object of every element type, so each size and floatness
+    # is resolved whatever the workload allocates
+    for element_type in (I1, I8, I16, I32, I64, F32, F64):
+        memory.allocate_stack(element_type.name, element_type, 3)
+    checked = 0
+    for address in _probe_addresses(memory):
+        for value_type in ACCESS_TYPES:
+            got = _access(
+                Memory.resolve, Memory._check_access_type, memory, address,
+                value_type,
+            )
+            want = _access(
+                _reference_resolve, _reference_check_access, memory, address,
+                value_type,
+            )
+            assert got == want, (hex(address), value_type)
+            checked += not isinstance(want[0], type)
+    assert checked, "probe set must include successful accesses"
