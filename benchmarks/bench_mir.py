@@ -1,12 +1,17 @@
-"""B-MIR — fused superinstruction backend vs the per-op dispatch loop.
+"""B-MIR — fused superinstructions vs the per-op dispatch loop.
 
-Golden-run comparison on every registered workload:
+Golden-run comparison on every registered workload.  The two legs set the
+engine's tier-up threshold (``repro.vm.engine.TIER_UP_ENTRIES``):
 
-* **op**: the classic engine loop — one dispatch, one bounds-checked
-  execution per dynamic instruction;
-* **block**: the MIR backend — loop-free straight-line segments compiled
-  into exec-specialized superinstructions, dispatched whole whenever no
-  fault, pause boundary or step limit falls inside the window.
+* **op**: no segment ever tiers up, so every dynamic instruction takes the
+  engine loop — one dispatch, one bounds-checked execution;
+* **block**: every segment tiers up on its first entry — loop-free
+  straight-line segments compiled into exec-specialized superinstructions,
+  dispatched whole whenever no fault, pause boundary or step limit falls
+  inside the window.
+
+Timings are warm: each leg restarts the module at tier 0 and runs it once
+untimed, so the block leg's codegen is not in its best-of time.
 
 Bit-identity is verified **before** any timing is trusted: outputs (as raw
 bytes), return values and step counts must match the op loop on all
@@ -26,6 +31,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 try:
     import repro  # noqa: F401  (installed package or PYTHONPATH=src)
@@ -36,29 +42,45 @@ except ModuleNotFoundError:  # standalone script run from a source checkout
 
 import numpy as np
 
+from repro.mir import invalidate
 from repro.obs.log import provenance
 from repro.tracing.columnar import ColumnarTrace
 from repro.tracing.sinks import CountingSink
+from repro.vm import engine as engine_module
 from repro.vm.engine import Engine
 from repro.workloads.registry import get_workload, workload_names
 
 #: Scale factor for timing repeats (1 = quick laptop/CI run).
 SCALE = max(1, int(os.environ.get("REPRO_BENCH_SCALE", "1")))
-#: Timing repeats per backend (best-of).
+#: Timing repeats per leg (best-of).
 REPEATS = max(3, int(os.environ.get("REPRO_BENCH_MIR_REPEATS", "3"))) * SCALE
-#: The geomean speedup the backend must deliver on golden runs.
+#: The geomean speedup fused dispatch must deliver on golden runs.
 SPEEDUP_BAR = 3.0
 OUTPUT = os.environ.get("REPRO_BENCH_MIR_JSON", "BENCH_mir.json")
+#: ``TIER_UP_ENTRIES`` per leg: never tier up / fused from the first entry.
+LEGS = {"op": 1 << 62, "block": 1}
 
 
-def _golden(workload, backend, sink=None):
+@contextmanager
+def _leg(workload, leg):
+    """Run ``workload`` on ``leg``, starting its module at tier 0."""
+    saved = engine_module.TIER_UP_ENTRIES
+    engine_module.TIER_UP_ENTRIES = LEGS[leg]
+    invalidate(workload.module())
+    try:
+        yield
+    finally:
+        engine_module.TIER_UP_ENTRIES = saved
+        invalidate(workload.module())
+
+
+def _golden(workload, sink=None):
     instance = workload.fresh_instance()
     engine = Engine(
         instance.module,
         instance.memory,
         sink=sink,
         max_steps=workload.max_steps,
-        backend=backend,
     )
     result = engine.run(workload.entry, instance.args)
     outputs = {
@@ -83,21 +105,28 @@ def _assert_identical(name, mode, op, block):
         ), f"{where}: output {obj!r} differs"
 
 
+def _golden_on(workload, leg, sink=None):
+    with _leg(workload, leg):
+        return _golden(workload, sink=sink)
+
+
 def verify_workload(name):
     """Bit-identity op vs block under all three sink fast paths."""
     workload = get_workload(name)
-    _assert_identical(name, "sink-free", _golden(workload, "op"), _golden(workload, "block"))
+    _assert_identical(
+        name, "sink-free", _golden_on(workload, "op"), _golden_on(workload, "block")
+    )
 
     op_count, block_count = CountingSink(), CountingSink()
-    op = _golden(workload, "op", sink=op_count)
-    block = _golden(workload, "block", sink=block_count)
+    op = _golden_on(workload, "op", sink=op_count)
+    block = _golden_on(workload, "block", sink=block_count)
     _assert_identical(name, "counting", op, block)
     assert op_count.total == block_count.total, name
     assert op_count.by_opcode == block_count.by_opcode, name
 
     op_trace, block_trace = ColumnarTrace(), ColumnarTrace()
-    op = _golden(workload, "op", sink=op_trace)
-    block = _golden(workload, "block", sink=block_trace)
+    op = _golden_on(workload, "op", sink=op_trace)
+    block = _golden_on(workload, "block", sink=block_trace)
     _assert_identical(name, "traced", op, block)
     assert len(op_trace) == len(block_trace), name
     for column in ("opcodes", "values", "producers", "addresses"):
@@ -110,20 +139,22 @@ def verify_workload(name):
     return workload
 
 
-def _best_time(workload, backend):
+def _best_time(workload, leg):
     best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        _golden(workload, backend)
-        best = min(best, time.perf_counter() - start)
+    with _leg(workload, leg):
+        _golden(workload)  # untimed: tier-up and codegen happen here
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            _golden(workload)
+            best = min(best, time.perf_counter() - start)
     return best
 
 
 def measure_workload(name):
-    workload = verify_workload(name)  # also warms module + MIR caches
+    workload = verify_workload(name)  # also compiles the module
     op_s = _best_time(workload, "op")
     block_s = _best_time(workload, "block")
-    steps = _golden(workload, "block")[2]
+    steps = _golden(workload)[2]
     return {
         "workload": name,
         "steps": steps,
@@ -150,7 +181,7 @@ def measure_all():
 
 def _check(results):
     assert results["geomean_speedup"] >= SPEEDUP_BAR, (
-        f"MIR backend geomean speedup {results['geomean_speedup']:.2f}x is "
+        f"fused-dispatch geomean speedup {results['geomean_speedup']:.2f}x is "
         f"below the {SPEEDUP_BAR}x acceptance bar"
     )
 
@@ -166,7 +197,7 @@ def test_bench_mir(once, benchmark):
     for name, row in results["workloads"].items():
         benchmark.extra_info[name] = {k: v for k, v in row.items() if k != "workload"}
     print_header(
-        f"MIR superinstruction backend vs op loop "
+        f"MIR superinstructions vs op loop "
         f"(bar >= {SPEEDUP_BAR}x geomean over {len(results['workloads'])} workloads)"
     )
     print(json.dumps(results, indent=2))

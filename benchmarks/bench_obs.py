@@ -1,6 +1,7 @@
 """Telemetry overhead — instrumented engine vs ``REPRO_METRICS=0``.
 
-Golden-run comparison on every registered workload, block backend (the
+Golden-run comparison on every registered workload, with every fused
+segment tiering up on its first entry (``TIER_UP_ENTRIES = 1``, the
 hottest configuration — the one the 12.8x geomean speedup was accepted
 on):
 
@@ -44,6 +45,7 @@ from repro.obs.spans import (
     recording_enabled,
     span,
 )
+from repro.vm import engine as engine_module
 from repro.vm.engine import Engine
 from repro.workloads.registry import get_workload, workload_names
 
@@ -62,7 +64,6 @@ def _golden(workload):
         instance.module,
         instance.memory,
         max_steps=workload.max_steps,
-        backend="block",
     )
     return engine.run(workload.entry, instance.args).steps
 
@@ -150,7 +151,12 @@ def measure_workload(name):
 
 
 def measure_all():
-    rows = [measure_workload(name) for name in workload_names()]
+    saved = engine_module.TIER_UP_ENTRIES
+    engine_module.TIER_UP_ENTRIES = 1  # fused from every segment's first entry
+    try:
+        rows = [measure_workload(name) for name in workload_names()]
+    finally:
+        engine_module.TIER_UP_ENTRIES = saved
     ratios = [row["overhead"] for row in rows]
     geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
     return {

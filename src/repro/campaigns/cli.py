@@ -453,7 +453,6 @@ def _cmd_stats(args) -> int:
         print()
         for label, hit_name, miss_name in (
             ("trace cache", "trace_cache.hits", "trace_cache.misses"),
-            ("mir cache", "mir_cache.hits", "mir_cache.misses"),
             ("replay memo", "replay.memo_hits", "replay.memo_misses"),
         ):
             hits = _counter_total(merged, hit_name)
@@ -462,6 +461,13 @@ def _cmd_stats(args) -> int:
             rate = f"{hits / probes:.2f}" if probes else "-"
             print(f"{label:<11}: {hits} hits / {misses} misses "
                   f"(hit rate {rate})")
+        compiled = _counter_total(merged, "mir.segments_compiled")
+        dispatches = _counter_total(merged, "engine.segment_dispatches")
+        ops = _counter_total(merged, "engine.ops")
+        fused = _counter_total(merged, "engine.segment_ops")
+        fused_frac = f"{fused / ops:.2f}" if ops else "-"
+        print(f"{'mir tier':<11}: {compiled} segments compiled / "
+              f"{dispatches} fused dispatches ({fused_frac} of ops fused)")
         persist_hits = _counter_total(merged, "replay.memo_persist_hits")
         persist_loads = _counter_total(merged, "replay.memo_persist_loads")
         persist_merges = _counter_total(merged, "replay.memo_persist_merges")

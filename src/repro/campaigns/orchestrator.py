@@ -567,9 +567,7 @@ class CampaignOrchestrator:
         cache = MemoCache.from_env()
         if cache is None:
             return
-        from repro.vm.engine import default_backend
-
-        cache.merge_store(self.trace_digest, default_backend(), delta)
+        cache.merge_store(self.trace_digest, delta)
 
     def _close_runner(self) -> None:
         if self._runner is not None:

@@ -108,7 +108,6 @@ class DeterministicFaultInjector:
         self.runs = 0
         self._stats_seen: Dict[str, int] = {}
         self._warmed = False
-        self._memo_backend: Optional[str] = None
         #: aDVF batching telemetry folded into :meth:`consume_batch_stats`
         #: (stamped per shard next to the scheduler counters).
         self._speculation: Dict[str, int] = {}
@@ -151,13 +150,11 @@ class DeterministicFaultInjector:
         if memo is None:
             return
         from repro.tracing.cache import MemoCache
-        from repro.vm.engine import default_backend
 
         cache = MemoCache.from_env()
         if cache is None:
             return
-        self._memo_backend = default_backend()
-        memo.merge_payload(cache.load(self.memo_key, self._memo_backend))
+        memo.merge_payload(cache.load(self.memo_key))
 
     @property
     def golden(self) -> RunOutcome:
@@ -270,10 +267,7 @@ class DeterministicFaultInjector:
             return None
         delta = memo.consume_delta()
         if delta is not None:
-            from repro.vm.engine import default_backend
-
             delta["trace"] = self.memo_key
-            delta["backend"] = self._memo_backend or default_backend()
         return delta
 
     def _classify(

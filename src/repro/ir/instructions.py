@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Sequence, TYPE_CHECKING
 
-from repro.ir.types import IRType, PointerType
+from repro.ir.types import IRType
 from repro.ir.values import Value
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -236,29 +236,12 @@ class Instruction(Value):
 
     # convenient accessors --------------------------------------------- #
     @property
-    def stored_value(self) -> Value:
-        assert self.opcode is Opcode.STORE
-        return self.operands[0]
-
-    @property
     def pointer_operand(self) -> Value:
         if self.opcode is Opcode.STORE:
             return self.operands[1]
         if self.opcode in (Opcode.LOAD, Opcode.GEP):
             return self.operands[0]
         raise TypeError(f"{self.opcode} has no pointer operand")
-
-    @property
-    def pointee_type(self) -> IRType:
-        """Element type accessed by a load/store/gep."""
-        ptr = self.pointer_operand.type
-        if isinstance(ptr, PointerType) and ptr.pointee is not None:
-            return ptr.pointee
-        raise TypeError("pointer operand has no pointee type")
-
-    def replace_operand(self, index: int, new: Value) -> None:
-        """Replace operand ``index`` with ``new`` (used by IR transforms)."""
-        self.operands[index] = new
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ops = ", ".join(op.short() for op in self.operands)

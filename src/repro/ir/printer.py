@@ -101,20 +101,3 @@ def print_module(module: Module) -> str:
     parts = [f"; module {module.name}"]
     parts.extend(print_function(func) for func in module)
     return "\n\n".join(parts)
-
-
-def module_digest(module: Module) -> bytes:
-    """Content digest of a module's printed IR.
-
-    The printer renumbers unnamed values per function, so two structurally
-    identical modules (e.g. the same workload compiled in two processes)
-    print — and therefore digest — identically.  The MIR compiled-block
-    cache keys on this digest so repeated campaign workers pay lowering and
-    superinstruction codegen once per distinct program, not once per module
-    object.
-    """
-    import hashlib
-
-    return hashlib.blake2b(
-        print_module(module).encode("utf-8"), digest_size=16
-    ).digest()

@@ -1,82 +1,27 @@
-"""Per-process compiled-MIR cache keyed by the program's print digest.
+"""Per-module cache of the lowered MIR program.
 
-Campaign workers rebuild the same workload module over and over (fresh
-instances, worker processes, protected variants); lowering and
-superinstruction codegen are pure functions of the *printed IR*, so the
-lowered program is cached twice over:
-
-* on the module object itself (same fast-attribute idiom as
-  ``DecodedProgram.of``), invalidated together with the decode cache;
-* in a process-wide digest-keyed table, so structurally identical modules
-  (same workload recompiled) share one compiled program.
+The lowered program is stored on the module object itself (same
+fast-attribute idiom as ``DecodedProgram.of``) and invalidated together
+with the decode cache.  It also carries each fused segment's entry count
+and compiled superinstructions, so every engine of one module in a process
+shares the tier-up state.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-from repro.ir.printer import module_digest
-from repro.mir.lower import MirFunction, MirProgram, MirSegment, lower_program
-from repro.obs.metrics import registry as _metrics_registry
+from repro.mir.lower import MirProgram, lower_program
 from repro.vm.engine import DecodedProgram
 
 _CACHE_ATTR = "_mir_program_cache"
 
-#: digest -> lowered program (process-wide).
-_MIR_CACHE: Dict[bytes, MirProgram] = {}
-
-
-def _clone_for(template: MirProgram, decoded: DecodedProgram) -> Optional[MirProgram]:
-    """Rebind a digest-cached program to another (identical) module.
-
-    The expensive parts — segmentation and the *plain* superinstruction
-    callables — are pure functions of the printed IR and are shared
-    verbatim.  The *traced* artifacts are not shared: trace events expose
-    ``static_uid`` (a process-global value counter, different per module
-    instance), so the per-segment ``BlockStatic`` and traced callables are
-    left to lazy (re)compilation against the new module's decode, keeping
-    traced runs bit-identical to the op loop on the same module.
-    """
-    if set(template.functions) != set(decoded.functions):
-        return None  # digest collision or stale entry: lower from scratch
-    functions = {}
-    for name, df in decoded.functions.items():
-        tf = template.functions[name]
-        if tf.segments and tf.segments[-1].pcs[-1] >= len(df.ops):
-            return None
-        segments = []
-        for tseg in tf.segments:
-            seg = MirSegment(tseg.index, tseg.pcs, tseg.fused, df)
-            seg.plain = tseg.plain
-            segments.append(seg)
-        functions[name] = MirFunction(df, segments)
-    return MirProgram(functions)
-
 
 def mir_program_for(decoded: DecodedProgram) -> MirProgram:
-    """The lowered (and superinstruction-compiled) form of ``decoded``."""
+    """The lowered form of ``decoded``, built once per module."""
     module = decoded.module
-    cached = getattr(module, _CACHE_ATTR, None)
-    if cached is not None:
-        return cached
-    digest = module_digest(module)
-    template = _MIR_CACHE.get(digest)
-    reg = _metrics_registry()
-    if template is None:
-        if reg.enabled:
-            reg.inc("mir_cache.misses")
+    program = getattr(module, _CACHE_ATTR, None)
+    if program is None:
         program = lower_program(decoded)
-        _MIR_CACHE[digest] = program
-    else:
-        program = _clone_for(template, decoded)
-        if program is None:
-            if reg.enabled:
-                reg.inc("mir_cache.misses")
-            program = lower_program(decoded)
-            _MIR_CACHE[digest] = program
-        elif reg.enabled:
-            reg.inc("mir_cache.hits")
-    setattr(module, _CACHE_ATTR, program)
+        setattr(module, _CACHE_ATTR, program)
     return program
 
 
@@ -84,8 +29,3 @@ def invalidate(module) -> None:
     """Drop the per-module cache (call after mutating the module's IR)."""
     if hasattr(module, _CACHE_ATTR):
         delattr(module, _CACHE_ATTR)
-
-
-def clear_digest_cache() -> None:
-    """Drop the process-wide digest table (test isolation hook)."""
-    _MIR_CACHE.clear()

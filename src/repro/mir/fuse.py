@@ -1,15 +1,17 @@
 """Superinstruction codegen: straight-line segments → specialized Python.
 
-Each fused :class:`~repro.mir.lower.MirSegment` is compiled — once per
-distinct program, via the digest-keyed cache — into an ``exec``-specialized
+Each fused :class:`~repro.mir.lower.MirSegment` is compiled, once the
+engine has entered it often enough (see
+:data:`~repro.vm.engine.TIER_UP_ENTRIES`), into an ``exec``-specialized
 callable that executes the whole segment without per-op dispatch.  The
 generated code *inlines* the engine's semantics (operand resolution, the
 masking arithmetic of :mod:`repro.vm.semantics`, the address resolution and
-access checks of :mod:`repro.vm.memory`) so the op loop remains the single
-source of truth only in the sense of an oracle: every inlined rule mirrors
-one rule there bit-exactly, including error types, error messages, and
+access checks of :mod:`repro.vm.memory`): every inlined rule mirrors one
+rule of the op loop bit-exactly, including error types, error messages, and
 evaluation order.  The differential fuzz harness (``tests/test_mir_parity``)
 and the benchmark bit-identity gate hold the two implementations together.
+Compiled code belongs to one module's lowered program and is never shared
+with another module.
 
 Two variants per segment:
 
@@ -19,8 +21,9 @@ Two variants per segment:
 * **traced** — ``fn(frame, regs, prods, memory, sink, last_writer,
   dynbase, cell) -> next_pc``; accumulates the segment's trace rows locally
   and bulk-appends them into the columnar sink
-  (:meth:`~repro.tracing.columnar.ColumnarTrace.append_block`).  Compiled
-  lazily: most runs never trace.
+  (:meth:`~repro.tracing.columnar.ColumnarTrace.append_block`).
+
+Only the variant a hot segment is entered with gets compiled.
 
 Crash protocol: the generated body maintains ``done`` (ops fully executed so
 far); on any exception it stores ``done`` into the caller's ``cell`` and
@@ -30,13 +33,6 @@ event).  Register/producer writeback is deferred to segment success; memory
 effects happen in place, matching the op loop's ordering observable at any
 crash or pause boundary (pauses never land mid-segment, and a crash pops
 the frames anyway).
-
-Known (accepted) sharing caveat: compiled segments are shared across
-structurally identical modules via the print-digest cache, and the
-use-before-definition error message embeds ``src_names``, which for unnamed
-values contains a process-global uid.  The ``-O0`` frontend cannot emit a
-use-before-def, so this near-dead path can differ only in message text
-across module instances — never in behaviour.
 """
 
 from __future__ import annotations

@@ -17,17 +17,21 @@ the two addressings losslessly.  Fault-site addressing, checkpoint
 schedules, and trace dynamic ids all remain in op-index space; the MIR is
 pure execution strategy.
 
-Segments with at least two ops are *fused*: compiled (see
-:mod:`repro.mir.fuse`) into a superinstruction — an ``exec``-specialized
-Python callable that executes the whole segment without touching the op
-loop.  Single-op segments and the non-fusable ops (``ret``, user calls,
-``phi``) stay with the op loop, which doubles as the bit-identity oracle.
+Segments with at least two ops are *fused*: once the engine has entered
+one :data:`~repro.vm.engine.TIER_UP_ENTRIES` times, it compiles (see
+:mod:`repro.mir.fuse`) the variant in use into a superinstruction — an
+``exec``-specialized Python callable that executes the whole segment
+without touching the op loop.  Lowering itself compiles nothing, so
+segments a process seldom enters never pay codegen.  Single-op segments
+and the non-fusable ops (``ret``, user calls, ``phi``) stay with the op
+loop.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.metrics import registry as _metrics_registry
 from repro.vm.engine import (
     DecodedFunction,
     DecodedProgram,
@@ -56,9 +60,10 @@ class MirSegment:
 
     ``pcs`` lists the op-index of every op in execution order (contiguous
     within a block; EBB merges jump to the start of the merged block).
-    ``plain`` / ``traced`` are the compiled superinstruction variants
-    (``None`` for unfused segments); the traced variant is compiled lazily
-    because most runs never trace.
+    ``plain`` / ``traced`` are the compiled superinstruction variants,
+    ``None`` until :meth:`compile` builds one; ``entries`` counts the
+    engine's op-loop entries into the segment before that (see
+    :data:`repro.vm.engine.TIER_UP_ENTRIES`).
     """
 
     __slots__ = (
@@ -69,6 +74,7 @@ class MirSegment:
         "fused",
         "plain",
         "traced",
+        "entries",
         "counts",
         "opcode_values",
         "_df",
@@ -83,6 +89,7 @@ class MirSegment:
         self.fused = fused
         self.plain = None
         self.traced = None
+        self.entries = 0
         self._df = df
         self._static = None
         ops = df.ops
@@ -99,12 +106,18 @@ class MirSegment:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def compile_traced(self):
-        """Compile (and cache) the trace-emitting superinstruction variant."""
+    def compile(self, traced: bool):
+        """Compile (and cache) the plain or the trace-emitting variant."""
         from repro.mir.fuse import compile_segment
 
-        fn = compile_segment(self._df, self, traced=True)
-        self.traced = fn
+        fn = compile_segment(self._df, self, traced)
+        reg = _metrics_registry()
+        if reg.enabled:
+            reg.inc("mir.segments_compiled")
+        if traced:
+            self.traced = fn
+        else:
+            self.plain = fn
         return fn
 
     def block_static(self):
@@ -184,9 +197,7 @@ def _block_meta(df: DecodedFunction) -> Tuple[List[int], List[int]]:
 
 
 def lower_function(df: DecodedFunction) -> MirFunction:
-    """Partition ``df`` into segments and compile the fused ones."""
-    from repro.mir.fuse import compile_segment
-
+    """Partition ``df`` into segments; fused ones compile on demand."""
     ops = df.ops
     n = len(ops)
     block_start, preds = _block_meta(df)
@@ -237,11 +248,7 @@ def lower_function(df: DecodedFunction) -> MirFunction:
 
         for covered_pc in pcs:
             covered[covered_pc] = True
-        fused = len(pcs) >= 2
-        seg = MirSegment(len(segments), tuple(pcs), fused, df)
-        if fused:
-            seg.plain = compile_segment(df, seg, traced=False)
-        segments.append(seg)
+        segments.append(MirSegment(len(segments), tuple(pcs), len(pcs) >= 2, df))
 
     return MirFunction(df, segments)
 

@@ -81,7 +81,7 @@ class TraceColumns:
 class BlockStatic:
     """Static (per-program) columns of one fused MIR segment.
 
-    The superinstruction backend (:mod:`repro.mir.fuse`) precomputes, once
+    The superinstruction codegen (:mod:`repro.mir.fuse`) precomputes, once
     per segment at codegen time, every trace column that does not depend on
     dynamic state: opcodes, locations, operand types/kinds with their CSR
     ``ends``, result types, predicates and callees.  A traced

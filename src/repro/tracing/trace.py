@@ -80,21 +80,6 @@ class Trace:
     def stores_for(self, object_name: str) -> List[TraceEvent]:
         return [e for e in self.memory_events_for(object_name) if e.is_store]
 
-    def consumers_of(self, dynamic_id: int, window: Optional[int] = None) -> List[TraceEvent]:
-        """Events that use the result of ``dynamic_id`` as an operand.
-
-        ``window`` bounds how far forward to look (number of subsequent
-        events); ``None`` scans to the end of the trace.
-        """
-        end = len(self._events) if window is None else min(
-            len(self._events), dynamic_id + 1 + window
-        )
-        out: List[TraceEvent] = []
-        for event in self._events[dynamic_id + 1 : end]:
-            if dynamic_id in event.operand_producers:
-                out.append(event)
-        return out
-
     def producer_event(self, event: TraceEvent, operand_index: int) -> Optional[TraceEvent]:
         """The event that produced operand ``operand_index``, if any."""
         producer = event.operand_producers[operand_index]

@@ -38,7 +38,6 @@ same :class:`~repro.tracing.events.TraceEvent` stream.
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
 from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -529,14 +528,12 @@ def snapshot_digest(snapshot: "Snapshot") -> bytes:
     return h.digest()
 
 
-def default_backend() -> str:
-    """The execution backend engines resolve when none is passed explicitly.
-
-    Persisted artifacts that depend on execution order (the convergence
-    memo) key on this, so a backend switch can never serve entries recorded
-    under the other dispatch strategy.
-    """
-    return os.environ.get("REPRO_ENGINE_BACKEND") or "block"
+#: Dispatchable entries after which a fused MIR segment compiles the
+#: superinstruction variant in use and runs fused from then on.  Below it the
+#: segment runs on the op loop, so segments a process enters only a few
+#: times never pay codegen.  Entry counts live on the module's lowered MIR,
+#: so they accumulate across every engine of one module in a process.
+TIER_UP_ENTRIES = 32
 
 
 class EngineFork:
@@ -687,7 +684,6 @@ class Engine:
         snapshot_interval: int = 0,
         snapshot_budget: Optional[int] = None,
         program: Optional[DecodedProgram] = None,
-        backend: Optional[str] = None,
     ) -> None:
         self.module = module
         self.memory = memory
@@ -696,23 +692,9 @@ class Engine:
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
         self.program = program if program is not None else DecodedProgram.of(module)
-        # Execution backend: "block" (default) dispatches fused MIR
-        # superinstructions where legal and falls back to the op loop;
-        # "op" forces the plain per-op loop (the bit-identity oracle).
-        # ``REPRO_ENGINE_BACKEND`` overrides the default process-wide.
-        if backend is None:
-            backend = default_backend()
-        if backend not in ("block", "op"):
-            raise ValueError(
-                f"unknown engine backend {backend!r} (expected 'block' or 'op')"
-            )
-        self.backend = backend
-        if backend == "block":
-            from repro.mir import mir_program_for  # deferred: mir builds on us
+        from repro.mir import mir_program_for  # deferred: mir builds on us
 
-            self._mir = mir_program_for(self.program)
-        else:
-            self._mir = None
+        self._mir = mir_program_for(self.program)
         self.snapshot_interval = snapshot_interval
         self.snapshot_budget = snapshot_budget
         self.snapshots: List[Snapshot] = []
@@ -807,7 +789,7 @@ class Engine:
         self._reset_run_flags()
         reg = _metrics_registry()
         if reg.enabled:
-            reg.inc("engine.snapshot_restores", backend=self.backend)
+            reg.inc("engine.snapshot_restores")
         # re-align snapshot capture to the first interval multiple strictly
         # after the restore point (the restore point itself is the snapshot
         # the caller already holds)
@@ -879,7 +861,7 @@ class Engine:
         """A copy-on-write fork of the live state (frames + memory)."""
         reg = _metrics_registry()
         if reg.enabled:
-            reg.inc("engine.forks", backend=self.backend)
+            reg.inc("engine.forks")
         return EngineFork(
             self._dyn,
             [_FrameImage(frame) for frame in self._frames],
@@ -900,7 +882,7 @@ class Engine:
         self._next_capture = _NEVER
         reg = _metrics_registry()
         if reg.enabled:
-            reg.inc("engine.fork_adoptions", backend=self.backend)
+            reg.inc("engine.fork_adoptions")
 
     def run_checked(
         self,
@@ -977,7 +959,6 @@ class Engine:
             max_steps=self.max_steps,
             max_call_depth=self.max_call_depth,
             program=self.program,
-            backend=self.backend,
         )
         engine.adopt_fork(fork)
         for frame_index, slot, value in reg_patches:
@@ -1037,8 +1018,8 @@ class Engine:
         * faults still diverged when the program returns resolve to the
           golden outcome patched with their cell deltas;
         * while no fault is in flight the walk fast-forwards to the next
-          fault site with :meth:`run_to` (fused segments on the block
-          backend), since the state is exactly golden there;
+          fault site with :meth:`run_to` (fused segments once hot), since
+          the state is exactly golden there;
         * faults whose site lies past the program's end never fire and
           resolve golden.
 
@@ -1680,7 +1661,7 @@ class Engine:
             )
             reg = _metrics_registry()
             if reg.enabled:
-                reg.inc("engine.snapshots", backend=self.backend)
+                reg.inc("engine.snapshots")
             if (
                 self.snapshot_budget is not None
                 and len(self.snapshots) >= self.snapshot_budget
@@ -1762,18 +1743,19 @@ class Engine:
 
         # MIR fast path: dispatch whole fused segments when the sink (if
         # any) supports bulk emission.  fast_mode: 0 off, 1 sink-free,
-        # 2 counting (tick_block), 3 traced (append_block).
-        mir = self._mir
+        # 2 counting (tick_block), 3 traced (append_block).  A segment
+        # compiles the variant in use on its TIER_UP_ENTRIES-th entry.
         fast_mode = 0
-        if mir is not None:
-            if sink is None:
-                fast_mode = 1
-            elif tracing:
-                if getattr(sink, "append_block", None) is not None:
-                    fast_mode = 3
-            elif getattr(sink, "tick_block", None) is not None:
-                fast_mode = 2
-        mir_fns = mir.functions if fast_mode else None
+        if sink is None:
+            fast_mode = 1
+        elif tracing:
+            if getattr(sink, "append_block", None) is not None:
+                fast_mode = 3
+        elif getattr(sink, "tick_block", None) is not None:
+            fast_mode = 2
+        traced = fast_mode == 3
+        tier_up = TIER_UP_ENTRIES
+        mir_fns = self._mir.functions if fast_mode else None
         dispatch = mir_fns[frame.df.name].dispatch if fast_mode else None
         sink_tick_block = sink.tick_block if fast_mode == 2 else None
         cell = [0]
@@ -1808,30 +1790,36 @@ class Engine:
                             and end <= max_steps
                             and (fault_dyn < dyn or fault_dyn >= end)
                         ):
-                            try:
-                                if fast_mode == 3:
-                                    fn = seg.traced or seg.compile_traced()
-                                    pc = fn(
-                                        frame, regs, prods, memory, sink,
-                                        last_writer, dyn, cell,
-                                    )
-                                else:
-                                    pc = seg.plain(frame, regs, memory, cell)
-                                    if fast_mode == 2:
-                                        sink_tick_block(seg.counts, seg.n_ops)
-                            except BaseException:
-                                stepped = cell[0]
-                                cell[0] = 0
-                                dyn += stepped
-                                if fast_mode == 2 and stepped:
-                                    sink_tick_block(
-                                        seg.counts_prefix(stepped), stepped
-                                    )
-                                raise
-                            dyn = end
-                            segs += 1
-                            seg_ops += seg.n_ops
-                            continue
+                            fn = seg.traced if traced else seg.plain
+                            if fn is None:
+                                # tier 0: count the entry, compile once hot
+                                seg.entries += 1
+                                if seg.entries >= tier_up:
+                                    fn = seg.compile(traced)
+                            if fn is not None:
+                                try:
+                                    if traced:
+                                        pc = fn(
+                                            frame, regs, prods, memory, sink,
+                                            last_writer, dyn, cell,
+                                        )
+                                    else:
+                                        pc = fn(frame, regs, memory, cell)
+                                        if fast_mode == 2:
+                                            sink_tick_block(seg.counts, seg.n_ops)
+                                except BaseException:
+                                    stepped = cell[0]
+                                    cell[0] = 0
+                                    dyn += stepped
+                                    if fast_mode == 2 and stepped:
+                                        sink_tick_block(
+                                            seg.counts_prefix(stepped), stepped
+                                        )
+                                    raise
+                                dyn = end
+                                segs += 1
+                                seg_ops += seg.n_ops
+                                continue
 
                 op = ops[pc]
                 kind = op.kind
@@ -2070,11 +2058,9 @@ class Engine:
             if reg.enabled:
                 executed = dyn - entry_dyn
                 if executed:
-                    reg.inc("engine.ops", executed, backend=self.backend)
+                    reg.inc("engine.ops", executed)
                 if segs:
-                    reg.inc(
-                        "engine.segment_dispatches", segs, backend=self.backend
-                    )
-                    reg.inc("engine.segment_ops", seg_ops, backend=self.backend)
+                    reg.inc("engine.segment_dispatches", segs)
+                    reg.inc("engine.segment_ops", seg_ops)
 
         return ExecutionResult(return_value=return_value, steps=dyn, trace=sink)

@@ -82,10 +82,6 @@ class RegisterAllocation:
     object_residency: Dict[int, Set[int]]
     spills: int
 
-    def registers_holding_object_at(self, dynamic_id: int) -> Set[int]:
-        """Registers holding values of the tracked object just after ``dynamic_id``."""
-        return self.object_residency.get(dynamic_id, set())
-
     def max_residency(self) -> int:
         """Peak number of registers simultaneously holding object values."""
         if not self.object_residency:

@@ -24,7 +24,7 @@ from repro.tracing.trace import Trace
 from repro.vm.engine import Engine
 from repro.vm.faults import FaultSpec
 from repro.vm.interpreter import Interpreter
-from repro.vm.memory import DataObject, Memory
+from repro.vm.memory import Memory
 
 Number = Union[int, float]
 
@@ -56,17 +56,12 @@ class WorkloadInstance:
         self.memory = memory
         self.args = args
 
-    def data_object(self, name: str) -> DataObject:
-        """The named data object of this instance."""
-        return self.memory.object(name)
-
     def run(
         self,
         trace: Optional[TraceSink] = None,
         fault: Optional[FaultSpec] = None,
         max_steps: Optional[int] = None,
         executor: str = "engine",
-        backend: Optional[str] = None,
     ) -> RunOutcome:
         """Execute the workload's entry kernel.
 
@@ -76,9 +71,6 @@ class WorkloadInstance:
         selects the pre-decoded :class:`~repro.vm.engine.Engine` (default)
         or the tree-walking ``"interpreter"`` — both produce bit-identical
         results; the interpreter is kept as the reference oracle.
-        ``backend`` picks the engine's dispatch strategy (``"block"`` /
-        ``"op"``, default ``REPRO_ENGINE_BACKEND``); the interpreter
-        ignores it.
 
         Raises the VM error types on crashes/hangs; callers performing fault
         injection catch them and classify the outcome.
@@ -90,7 +82,6 @@ class WorkloadInstance:
                 sink=trace,
                 fault=fault,
                 max_steps=max_steps or self.workload.max_steps,
-                backend=backend,
             )
         elif executor == "interpreter":
             runner = Interpreter(

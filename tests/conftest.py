@@ -14,6 +14,7 @@ from repro.frontend import compile_kernel
 from repro.ir.types import F64, I64
 from repro.tracing import Trace
 from repro.vm import Interpreter, Memory
+from repro.vm import engine as engine_module
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +25,45 @@ def _isolated_trace_cache(tmp_path, monkeypatch):
     the user-level ``~/.cache/repro/traces`` default.
     """
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "trace-cache"))
+
+
+@pytest.fixture(autouse=True)
+def _fused_from_first_entry(monkeypatch):
+    """Compile every fused segment on its first entry.
+
+    Test workloads are small, so at the default tier-up threshold many
+    segments would never leave the op loop; pinning it to 1 keeps every
+    suite exercising fused dispatch.
+    """
+    monkeypatch.setattr(engine_module, "TIER_UP_ENTRIES", 1)
+
+
+#: TIER_UP_ENTRIES settings the parity suites check: ``op`` never tiers up
+#: (no run enters a segment that often), ``block`` is fused from a
+#: segment's first entry, and ``mid-loop`` tiers up on a segment's second
+#: entry, partway through a loop.
+TIER_SETTINGS = {"op": 1 << 62, "block": 1, "mid-loop": 2}
+
+
+@pytest.fixture
+def set_tier(monkeypatch):
+    """``set_tier(module, entries)``: set TIER_UP_ENTRIES and restart
+    ``module`` at tier 0 (its tier-up state lives on its lowered MIR)."""
+    from repro.mir import invalidate
+
+    def set_tier(module, entries):
+        monkeypatch.setattr(engine_module, "TIER_UP_ENTRIES", entries)
+        invalidate(module)
+
+    return set_tier
+
+
+@pytest.fixture(params=list(TIER_SETTINGS.values()), ids=list(TIER_SETTINGS))
+def tier_up(request, monkeypatch):
+    """Run the requesting test once per ``TIER_SETTINGS`` entry, on
+    modules it builds itself."""
+    monkeypatch.setattr(engine_module, "TIER_UP_ENTRIES", request.param)
+    return request.param
 
 
 # --------------------------------------------------------------------- #

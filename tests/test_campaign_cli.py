@@ -149,7 +149,7 @@ class TestStatsCommand:
         assert "runs     : 1 of 1 with metrics" in out
         # engine activity made it through the run cursor into the store
         assert "engine.ops" in out
-        assert "trace cache" in out and "mir cache" in out
+        assert "trace cache" in out and "mir tier" in out
         # the run traces once, so exactly one trace-cache miss is recorded
         assert "trace cache: 0 hits / 1 misses" in out
 
@@ -180,7 +180,7 @@ class TestStatsCommand:
         ) == 0
         text = open(prom_path).read()
         assert "# TYPE repro_engine_ops counter" in text
-        assert "repro_engine_ops{" in text
+        assert "\nrepro_engine_ops " in text  # engine counters carry no labels
 
     def test_status_metrics_flag(self, store_path, capsys):
         main(["campaign", "run", "matmul", "--plan", "fixed:8",

@@ -1,8 +1,8 @@
-"""Differential parity suite for the MIR superinstruction backend.
+"""Differential parity suite for the MIR superinstruction tier.
 
-The block backend must be *observationally invisible*: for any program the
-engine dispatching fused superinstructions has to produce bit-identical
-results to the plain op loop and to the tree-walking interpreter — outputs,
+Fused dispatch must be *observationally invisible*: whenever a segment
+tiers up from the op loop to its compiled superinstruction, the engine has
+to produce bit-identical results to the tree-walking interpreter — outputs,
 return values, step counts, the full trace event stream, and (for crashing
 programs) the exception type and message.
 
@@ -10,13 +10,15 @@ Three layers of evidence:
 
 * a seeded **differential fuzzer** generating random kernels in the
   restricted dialect (loops, gathers, integer/float arithmetic, branches,
-  mid-run crashes) and running each through interpreter / op engine /
-  block engine;
+  mid-run crashes) and running each through the interpreter and the engine
+  at three tier-up thresholds: op loop only, fused from the first entry,
+  and a tier-up partway through a loop;
 * **structural invariants** of the lowering on all registry workloads —
   every op lands in exactly one segment and the op-index ↔ (segment,
   offset) maps round-trip, so fault-site addressing stays exact;
-* targeted parity checks for the three sink fast paths (sink-free,
-  counting, traced) and for fault injection on both backends.
+* targeted op-loop vs fused checks for the three sink fast paths
+  (sink-free, counting, traced), for fault injection and for snapshot
+  schedules, plus the tier-up rule itself.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ from repro.vm.faults import FaultSpec, FaultTarget
 from repro.vm.interpreter import Interpreter
 from repro.vm.memory import Memory
 from repro.workloads.registry import get_workload, workload_names
+
+from conftest import TIER_SETTINGS
+
+OP_LOOP, FUSED = TIER_SETTINGS["op"], TIER_SETTINGS["block"]
 
 
 # --------------------------------------------------------------------- #
@@ -169,7 +175,7 @@ def _run_one(module, name, n, a0, b0, executor):
         runner = Interpreter(module, memory, trace=sink)
     else:
         sink = ColumnarTrace()
-        runner = Engine(module, memory, sink=sink, backend=executor)
+        runner = Engine(module, memory, sink=sink)
     error = None
     return_value = steps = None
     try:
@@ -186,16 +192,18 @@ def _run_one(module, name, n, a0, b0, executor):
 
 @pytest.mark.parametrize("crash", ["", "oob", "div0"])
 @pytest.mark.parametrize("seed", range(12))
-def test_fuzzed_kernels_three_way_parity(seed, crash):
+def test_fuzzed_kernels_three_way_parity(seed, crash, set_tier):
+    """The engine at every ``TIER_SETTINGS`` entry matches the interpreter."""
     source, name, n, a0, b0 = generate_kernel(seed, crash)
     function = compile_kernel_source(source)
     module = function.metadata["module"]
     where = f"seed={seed} crash={crash or 'none'}"
 
     ref = _run_one(module, name, n, a0, b0, "interpreter")
-    for backend in ("op", "block"):
-        got = _run_one(module, name, n, a0, b0, backend)
-        label = f"{where} backend={backend}"
+    for tier, entries in TIER_SETTINGS.items():
+        set_tier(module, entries)
+        got = _run_one(module, name, n, a0, b0, "engine")
+        label = f"{where} tier={tier}"
         if ref[4] is not None:
             assert got[4] is not None, f"{label}: expected {type(ref[4]).__name__}"
             assert type(got[4]) is type(ref[4]), label
@@ -278,15 +286,15 @@ def test_segment_counts_match_opcodes(name):
 # --------------------------------------------------------------------- #
 # sink fast paths and fault injection on a real workload
 # --------------------------------------------------------------------- #
-def _fresh_run(workload, backend, sink=None, fault=None):
+def _fresh_run(workload, set_tier, entries, sink=None, fault=None):
     instance = workload.fresh_instance()
+    set_tier(instance.module, entries)
     engine = Engine(
         instance.module,
         instance.memory,
         sink=sink,
         fault=fault,
         max_steps=workload.max_steps,
-        backend=backend,
     )
     error = None
     return_value = steps = None
@@ -303,11 +311,11 @@ def _fresh_run(workload, backend, sink=None, fault=None):
 
 
 @pytest.mark.parametrize("name", ["matmul", "cg", "pf"])
-def test_workload_counting_sink_parity(name):
+def test_workload_counting_sink_parity(name, set_tier):
     workload = get_workload(name)
     op_sink, block_sink = CountingSink(), CountingSink()
-    op = _fresh_run(workload, "op", sink=op_sink)
-    block = _fresh_run(workload, "block", sink=block_sink)
+    op = _fresh_run(workload, set_tier, OP_LOOP, sink=op_sink)
+    block = _fresh_run(workload, set_tier, FUSED, sink=block_sink)
     assert op[3] is None and block[3] is None
     assert op[2] == block[2]
     assert op_sink.total == block_sink.total == op[2]
@@ -316,21 +324,21 @@ def test_workload_counting_sink_parity(name):
 
 
 @pytest.mark.parametrize("name", ["matmul", "cg", "pf"])
-def test_workload_traced_parity(name):
+def test_workload_traced_parity(name, set_tier):
     workload = get_workload(name)
     op_sink, block_sink = ColumnarTrace(), ColumnarTrace()
-    op = _fresh_run(workload, "op", sink=op_sink)
-    block = _fresh_run(workload, "block", sink=block_sink)
+    op = _fresh_run(workload, set_tier, OP_LOOP, sink=op_sink)
+    block = _fresh_run(workload, set_tier, FUSED, sink=block_sink)
     assert op[3] is None and block[3] is None
     assert op[1] == block[1] and op[2] == block[2]
     assert_outputs_identical(op[0], block[0], name)
     assert_event_streams_identical(op_sink, block_sink, name)
 
 
-def test_workload_fault_injection_parity():
-    """Injected runs agree bit-for-bit across backends, crashes included."""
+def test_workload_fault_injection_parity(set_tier):
+    """Injected runs agree bit-for-bit on both tiers, crashes included."""
     workload = get_workload("matmul")
-    golden_steps = _fresh_run(workload, "op")[2]
+    golden_steps = _fresh_run(workload, set_tier, OP_LOOP)[2]
     specs = []
     for dynamic_id in (0, 7, golden_steps // 3, golden_steps // 2, golden_steps - 2):
         specs.append(FaultSpec(dynamic_id=dynamic_id, bit=62))
@@ -339,8 +347,8 @@ def test_workload_fault_injection_parity():
         )
     crashes = 0
     for spec in specs:
-        op = _fresh_run(workload, "op", fault=spec)
-        block = _fresh_run(workload, "block", fault=spec)
+        op = _fresh_run(workload, set_tier, OP_LOOP, fault=spec)
+        block = _fresh_run(workload, set_tier, FUSED, fault=spec)
         where = repr(spec)
         if op[3] is not None:
             crashes += 1
@@ -354,7 +362,7 @@ def test_workload_fault_injection_parity():
         assert_outputs_identical(op[0], block[0], where)
 
 
-def test_checkpoint_schedule_parity():
+def test_checkpoint_schedule_parity(set_tier):
     """Snapshot schedules (positions *and* state digests) agree.
 
     Snapshot boundaries land mid-segment from the superinstruction's point
@@ -365,17 +373,17 @@ def test_checkpoint_schedule_parity():
 
     workload = get_workload("matmul")
     schedules = {}
-    for backend in ("op", "block"):
+    for tier, entries in (("op", OP_LOOP), ("block", FUSED)):
         instance = workload.fresh_instance()
+        set_tier(instance.module, entries)
         engine = Engine(
             instance.module,
             instance.memory,
             snapshot_interval=500,
             max_steps=workload.max_steps,
-            backend=backend,
         )
         result = engine.run(workload.entry, instance.args)
-        schedules[backend] = (
+        schedules[tier] = (
             result.steps,
             [(snap.dyn, snapshot_digest(snap)) for snap in engine.snapshots],
             {
@@ -389,24 +397,28 @@ def test_checkpoint_schedule_parity():
     assert_outputs_identical(op[2], block[2])
 
 
-def test_backend_selection_and_validation():
+def test_segments_tier_up_on_their_threshold_entry(set_tier):
+    """A fused segment runs on the op loop until its threshold entry.
+
+    It then compiles only the variant in use: every compiled segment
+    stopped counting exactly at the threshold, every other one stayed
+    below it, and a sink-free run compiles no traced variant.
+    """
     workload = get_workload("matmul")
     instance = workload.fresh_instance()
-    engine = Engine(instance.module, instance.memory, backend="block")
-    assert engine.backend == "block"
-    assert engine._mir is not None
-    op_engine = Engine(instance.module, instance.memory, backend="op")
-    assert op_engine._mir is None
-    with pytest.raises(ValueError, match="unknown engine backend"):
-        Engine(instance.module, instance.memory, backend="jit")
-
-
-def test_env_var_selects_backend(monkeypatch):
-    workload = get_workload("matmul")
-    instance = workload.fresh_instance()
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "op")
-    assert Engine(instance.module, instance.memory).backend == "op"
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", "block")
-    assert Engine(instance.module, instance.memory).backend == "block"
-    monkeypatch.delenv("REPRO_ENGINE_BACKEND")
-    assert Engine(instance.module, instance.memory).backend == "block"
+    set_tier(instance.module, 3)
+    result = Engine(
+        instance.module, instance.memory, max_steps=workload.max_steps
+    ).run(workload.entry, instance.args)
+    program = mir_program_for(DecodedProgram.of(instance.module))
+    compiled = 0
+    for mf in program.functions.values():
+        for seg in mf.segments:
+            assert seg.traced is None
+            if seg.plain is not None:
+                compiled += 1
+                assert seg.fused and seg.entries == 3
+            else:
+                assert seg.entries < 3
+    assert compiled
+    assert result.steps == _fresh_run(workload, set_tier, OP_LOOP)[2]

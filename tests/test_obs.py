@@ -406,26 +406,29 @@ class TestMetricsTable:
 
 
 class TestEngineCounters:
-    def test_golden_run_counts_ops_and_segments(self, saxpy_setup):
+    def test_golden_run_counts_ops_and_segments(self, saxpy_setup, set_tier):
+        from conftest import TIER_SETTINGS
         from repro.vm import Engine
 
         module, memory, a, b = saxpy_setup
-        engine = Engine(module, memory, backend="block")
-        result = engine.run("saxpy", {"a": a, "b": b, "n": 6, "alpha": 2.0})
-        reg = registry()
-        assert reg.counter_value("engine.ops", backend="block") == result.steps
-        assert reg.counter_value("engine.segment_dispatches", backend="block") > 0
-        assert (
-            reg.counter_value("engine.segment_ops", backend="block")
-            <= result.steps
-        )
+        for entries in TIER_SETTINGS.values():
+            configure(True)  # a fresh, empty registry per setting
+            set_tier(module, entries)
+            engine = Engine(module, memory)
+            args = {"a": a, "b": b, "n": 6, "alpha": 2.0}
+            result = engine.run("saxpy", args)
+            reg = registry()
+            assert reg.counter_value("engine.ops") == result.steps
+            dispatches = reg.counter_value("engine.segment_dispatches")
+            assert (dispatches > 0) is (entries <= 6)  # six loop iterations
+            assert reg.counter_value("engine.segment_ops") <= result.steps
 
     def test_disabled_registry_records_nothing(self, saxpy_setup):
         from repro.vm import Engine
 
         configure(False)
         module, memory, a, b = saxpy_setup
-        Engine(module, memory, backend="block").run(
+        Engine(module, memory).run(
             "saxpy", {"a": a, "b": b, "n": 6, "alpha": 2.0}
         )
         assert registry().to_dict()["counters"] == []

@@ -2,12 +2,12 @@
 
 While no fault of a batch is in flight, :meth:`Engine.resume_many`
 fast-forwards to the next fault site through :meth:`Engine.run_to` (fused
-segments on the block backend, the op loop on the op backend).  These tests
-pin that the fast-forward changes no outcome: batches shaped around it —
-the first fault on the restored snapshot, gaps spanning many snapshot
-intervals, several faults on one site, a fault near the program's end and
-one past it — resolve exactly as per-fault sequential replay does, on both
-backends and all registered workloads.
+segments once they tier up, the op loop before).  These tests pin that the
+fast-forward changes no outcome: batches shaped around it — the first fault
+on the restored snapshot, gaps spanning many snapshot intervals, several
+faults on one site, a fault near the program's end and one past it —
+resolve exactly as per-fault sequential replay does, at every tier-up
+setting of the ``tier_up`` fixture and on all registered workloads.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from repro.core.replay import BatchedReplayContext, ReplayContext
 from repro.vm.engine import Engine, _values_bit_equal
 from repro.vm.faults import FaultSpec, FaultTarget
 from repro.workloads.registry import get_workload, workload_names
-
-BACKENDS = ("block", "op")
 
 
 # --------------------------------------------------------------------- #
@@ -140,9 +138,7 @@ def _batched_key(result):
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_fast_forward_matches_sequential_on_every_workload(backend, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
+def test_fast_forward_matches_sequential_on_every_workload(tier_up, monkeypatch):
     run_to_calls = []
     original_run_to = Engine.run_to
 
@@ -170,9 +166,7 @@ def test_fast_forward_matches_sequential_on_every_workload(backend, monkeypatch)
         assert run_to_calls, f"{name}: the walk never fast-forwarded"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_inject_many_resolves_sites_past_the_end_like_inject(backend, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE_BACKEND", backend)
+def test_inject_many_resolves_sites_past_the_end_like_inject(tier_up):
     workload = get_workload("cg", seed=1)
     batched = DeterministicFaultInjector(workload, mode="replay")
     steps = batched.context.golden_steps
